@@ -1,0 +1,74 @@
+"""Golden digests: the shipped small configs must keep producing the same bytes.
+
+Criterion 8 and the rerun tests only prove that two runs of the *same* code
+agree.  This module pins the SHA-256 of every artifact that
+`compare_small.cfg`, `falsify_lti2.cfg` and `falsify_tank.cfg` write, so a
+refactor or optimisation that flips a single bit of any archive, snapshot,
+plot row, region report, trial log or report fails here.  The digests were
+recorded once from the code before any such change; a change that alters
+numerics on purpose must say so and re-record them.
+
+The three runs take a few seconds in total.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from sasbt.harness import ExperimentConfig, run_compare, run_falsify
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+GOLDEN = {
+    "compare_small": {
+        "archive_nsga2-r00.csv": "7a7e118cef295482ae85faf987a70c6141e37a8383623a90c9e9379ae121e9c9",
+        "archive_nsga2-r01.csv": "5f391a1895bd0235435f785efb2629afd4bc21630d77cc1be591651a576e42ef",
+        "archive_nsga2-r02.csv": "48e60d2367106aa6f3f52a999b1985233c453b9a360d000f2e2dbb127df723e3",
+        "archive_nsga2dt-r00.csv": "2971468739bc2ac695ff68e1e97865218ace8da3b0687edba1083b597b626b2a",
+        "archive_nsga2dt-r01.csv": "2009969db5290261759375be9939b45921eb7caf000dd6f6d8342b91c820a255",
+        "archive_nsga2dt-r02.csv": "ef28006832a4da38ae26322a30ef2d02d361f0910bec11ffd30c1e76ce983f12",
+        "plots.csv": "33268d859c7687ffa7aeb735f1e3553db783920b48d5fe0dda89c407190d3600",
+        "regions.json": "9448d309e74562d13ab3425f50b3e7ca74979f1755d403ee40f8da4e6c10ba03",
+        "report.json": "06cf1b113838b756a38814c5ba240419c691b0a6f43cd9f85f6d5fd6916fdd88",
+        "snapshots.csv": "5753f2683f9e812a027d0f3100e0a89a9fbc5f93095f9dd58e8665d8a8179f2c",
+    },
+    "falsify_lti2": {
+        "report.json": "d9ad6918e227393e43633f7e90d4edb7fd0371755cf2bb73d2e02ba48a0e6aff",
+        "stats.csv": "c1d800b25c953661a3f7c872c36287755c2a6604f4e5a169825b12cbabafe00e",
+        "trial_00.jsonl": "287d8e0c07cba8b974e4b271f35238843343afa990d9eb5e7d4f9df7ba8a953e",
+        "trial_01.jsonl": "9990ce3421d0cd1fe47f8a7710ae1cbfa1030a2d8390f73a6d41b468eb1e422f",
+        "trial_02.jsonl": "e2b09f7bc18c51e76efc8e00de9d06da11dfcfeea39b167a38926cb9d5a87918",
+        "trial_03.jsonl": "31518246e98984032ee582ed14fdaee5cacaa43800a8a018894addc77bf18489",
+        "trial_04.jsonl": "b839d8717b58d99ee562e5d78ba2a1e99cee77d927398bd38194eb5b9a0cd874",
+        "trial_05.jsonl": "749610ef4a74f1d10960647da6fb44cd445e95a8c37d49e33af9465a16bb91a3",
+        "trial_06.jsonl": "66fad4b251bf61f489e2acc9a52d4de248ca7f208ce812e840ce0b5535ca8b4b",
+        "trial_07.jsonl": "574309598718f5992bad0c62ca482465b98ba1fa5463b8f11b6f0793b9cd78c6",
+        "trial_08.jsonl": "85ab86666aa499e2f315eecce9c3b0703549a737dac6a3b806f20fa8f15a250e",
+        "trial_09.jsonl": "95dab2cfdd371e2bf0f922f1d8d576ebb114283a1550c4d689d979ffabb136bf",
+    },
+    "falsify_tank": {
+        "report.json": "1df061717a2a69414b82ef14e37eea2421b3128d086cce4065759bf5e2d26c17",
+        "stats.csv": "9f18fefa1fa7fe3a2ed21c4e133c887021585d042bbee20b17b2799d04d12083",
+        "trial_00.jsonl": "4604259ea7f04cad6dbf06ff67006e8b467e09873bca6431eafe7f26b1dea962",
+        "trial_01.jsonl": "f024e73f78a3c335a28275853315bea9d97420e43659528318aedd77e1dd462f",
+        "trial_02.jsonl": "87c172f6025f822459b7088eee39a9bb8395b3a972dfe5a9f525149c2be1170f",
+        "trial_03.jsonl": "190b4b8c2469cff62bf52b7443e02b23cbff2b7e8030dfc1f249e9664627ff25",
+        "trial_04.jsonl": "fc8888f3704d5b81a7537a544b61c2c40c1cb1e8d624f8e58d85f11bff582788",
+        "trial_05.jsonl": "da2f79d5c4e024487b01528e267977fd5cd1a48f53f99b3a06b52c414f435763",
+        "trial_06.jsonl": "3387f91ce1c3c1c5a70a277162ac2e90be055bd896f07d09df1d6287f4fff23d",
+        "trial_07.jsonl": "229c7fff6dbaef17953867200238e6a852a117db0efad6b41253d00c371ab174",
+        "trial_08.jsonl": "1ede82a4e40399263f5e10466c6f4e026f7779a44f52fddd8cfe83ce89bb2afd",
+        "trial_09.jsonl": "4569f3d1e578b73460ffe1616a181140adb61bcbb4aa8943b9a210e0e650ff85",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifacts_match_golden_digests(name: str, tmp_path: Path) -> None:
+    config = ExperimentConfig.from_file(CONFIGS / f"{name}.cfg")
+    run = run_compare if config.kind == "compare" else run_falsify
+    run(config, tmp_path, quiet=True)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert digests == GOLDEN[name]
