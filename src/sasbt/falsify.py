@@ -29,12 +29,8 @@ from .stl import Formula, robustness
 
 @dataclass(frozen=True)
 class SignalParam:
-    """Parametric input-signal description.
-
-    `mode` "piecewise" leaves the shape to `interpolation`
-    ("constant" segments or "linear" between nodes); mode "constrained"
-    pins the fixed piecewise-constant format regardless of interpolation.
-    """
+    """Parametric input-signal description; `interpolation` gives the shape
+    ("constant" segments or "linear" between nodes)."""
 
     control_points: int = 5
     interpolation: str = "constant"
@@ -43,15 +39,12 @@ class SignalParam:
     horizon: float = 50.0
     period: float = 1.0
     channels: int = 1
-    mode: str = "piecewise"
 
     def validate(self) -> None:
         if self.control_points < 1:
             raise ValueError("control_points must be >= 1")
         if self.interpolation not in ("constant", "linear"):
             raise ValueError(f"unknown interpolation: {self.interpolation!r}")
-        if self.mode not in ("piecewise", "constrained"):
-            raise ValueError(f"unknown signal mode: {self.mode!r}")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
         if self.period <= 0 or self.horizon <= 0:
@@ -92,8 +85,7 @@ def build_signal(param: SignalParam, theta) -> np.ndarray:
     param.validate()
     th = np.asarray(theta, dtype=float).reshape(param.control_points, param.channels)
     times = np.arange(param.n_samples) * param.period
-    interp = "constant" if param.mode == "constrained" else param.interpolation
-    if interp == "constant" or param.control_points == 1:
+    if param.interpolation == "constant" or param.control_points == 1:
         seg = np.minimum(
             (times * param.control_points / param.horizon + 1e-9).astype(int),
             param.control_points - 1)

@@ -232,22 +232,11 @@ class StageRecord:
 
 
 @dataclass
-class IndicatorSnapshot:
-    stage: str
-    evaluations: int
-    hv: float
-    gd: float
-    spread: float
-    distinct_critical: int
-
-
-@dataclass
 class DtResult:
     archive: EvaluationArchive
     regions: list[CriticalRegion]  # from the final refit
     stages: list[StageRecord]
     iterations: list[dict]  # per outer iteration: regions + evaluation spend
-    snapshots: list[IndicatorSnapshot]
 
 
 def _seed_individuals(archive: EvaluationArchive, region: CriticalRegion,
@@ -267,44 +256,33 @@ def _seed_individuals(archive: EvaluationArchive, region: CriticalRegion,
                        eval_index=i) for i in picked]
 
 
-def self_referenced_snapshots(archive: EvaluationArchive,
-                              stages: list[StageRecord],
-                              policy: indicators.DistinctnessPolicy | None = None,
-                              ) -> list[IndicatorSnapshot]:
-    """Indicator time series over archive prefixes at every checkpoint,
-    normalized against the archive's own objective ranges and scored against
-    its own final non-dominated front (reference point 1.01 per objective)."""
-    objs = archive.objective_array()
-    m = objs.shape[1]
-    lo = objs.min(axis=0)
-    hi = objs.max(axis=0)
-    hi = np.where(hi - lo <= 0, lo + 1.0, hi)  # guard degenerate ranges
-    bounds = np.stack([lo, hi], axis=1)
-    ref_front = indicators.normalize(indicators.non_dominated_filter(objs), bounds)
-    ref_point = np.full(m, 1.01)
-    order = np.lexsort((ref_front[:, 1], ref_front[:, 0])) if m == 2 else None
-    extremes = (np.stack([ref_front[order[0]], ref_front[order[-1]]])
-                if m == 2 else None)
-    genomes = archive.genome_array()
-    critical = archive.critical_array()
-    snaps: list[IndicatorSnapshot] = []
+def stage_checkpoints(stages: list[StageRecord]) -> list[tuple[str, int]]:
+    """(label, archive length) at every stage checkpoint, in stage order;
+    labels read it<iteration>:<kind>[<region index>]:g<generation>."""
+    out: list[tuple[str, int]] = []
     for stage in stages:
         label = stage.kind if stage.region_index is None else (
             f"{stage.kind}{stage.region_index:02d}")
-        for g, count in enumerate(stage.checkpoints):
-            front = indicators.non_dominated_filter(objs[:count])
-            norm = indicators.normalize(front, bounds)
-            hv = indicators.hypervolume(norm, ref_point) if m in (2, 3) else float("nan")
-            gd = indicators.generational_distance(norm, ref_front)
-            sp = indicators.spread(norm, extremes) if m == 2 else float("nan")
-            crit_rows = genomes[:count][critical[:count]]
-            snaps.append(IndicatorSnapshot(
-                stage=f"it{stage.iteration:02d}:{label}:g{g:02d}",
-                evaluations=count,
-                hv=hv, gd=gd, spread=sp,
-                distinct_critical=indicators.distinct_critical(crit_rows, policy),
-            ))
-    return snaps
+        out.extend((f"it{stage.iteration:02d}:{label}:g{g:02d}", count)
+                   for g, count in enumerate(stage.checkpoints))
+    return out
+
+
+def self_referenced_snapshots(archive: EvaluationArchive,
+                              stages: list[StageRecord],
+                              policy: indicators.DistinctnessPolicy | None = None,
+                              ) -> list[dict]:
+    """Indicator rows at every stage checkpoint, scored against a reference
+    built from the archive alone (its own objective ranges and final
+    non-dominated front)."""
+    objs = archive.objective_array()
+    checkpoints = stage_checkpoints(stages)
+    rows = indicators.prefix_indicators(
+        objs, archive.genome_array(), archive.critical_array(),
+        [count for _, count in checkpoints], indicators.build_reference([objs]),
+        policy)
+    return [{"stage": label, "evaluations": count, **row}
+            for (label, count), row in zip(checkpoints, rows)]
 
 
 def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
@@ -321,9 +299,8 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
     the next run would overshoot it.
 
     Returns:
-        DtResult with the shared archive, final regions, stage records,
-        per-iteration region reports and self-referenced indicator
-        snapshots at every stage checkpoint.
+        DtResult with the shared archive, final regions, stage records
+        and per-iteration region reports.
     """
     config = config or DtConfig()
     config.validate()
@@ -405,6 +382,5 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
     tree = fit_tree(archive.genome_array(), archive.critical_array(),
                     config.max_depth, config.min_samples_leaf)
     regions = extract_regions(tree, space, config.region_threshold)
-    snapshots = self_referenced_snapshots(archive, stages)
     return DtResult(archive=archive, regions=regions, stages=stages,
-                    iterations=iterations, snapshots=snapshots)
+                    iterations=iterations)

@@ -22,7 +22,7 @@ from . import indicators, scenario
 from .arx import ArxConfig
 from .falsify import (SignalParam, benchmark_sut, falsification_stats, falsify,
                       format_stats_row, random_baseline)
-from .guidance import DtConfig, nsga2_dt
+from .guidance import DtConfig, nsga2_dt, stage_checkpoints
 from .search import EvaluationArchive, SearchConfig, evolve
 from .stl import Formula, format_requirement, parse_requirement
 
@@ -281,7 +281,6 @@ class ExperimentConfig:
             horizon=cfg.float_("signal.horizon", p.horizon),
             period=cfg.float_("signal.period", p.period),
             channels=cfg.int_("signal.channels", p.channels),
-            mode=cfg.str_("signal.mode", p.mode),
         )
         cfg.reject_unknown()
         self.validate()
@@ -296,61 +295,7 @@ class ExperimentConfig:
         return cls.from_text(text)
 
 
-@dataclass
-class RunRecord:
-    """In-memory record of one completed run.  `wall_time_s` is printed but
-    never persisted (outputs must be byte-identical across reruns)."""
-
-    run_id: str
-    algorithm: str
-    seed: int
-    archive_path: str
-    snapshot_path: str
-    wall_time_s: float
-    summary: dict
-
-
-# ---------- indicator snapshots against a shared reference ----------
-
-
-@dataclass
-class _Reference:
-    bounds: np.ndarray
-    front: np.ndarray  # normalized reference front
-    extremes: np.ndarray | None
-    point: np.ndarray
-
-
-def _build_reference(objective_sets: list[np.ndarray]) -> _Reference:
-    allobj = np.vstack(objective_sets)
-    m = allobj.shape[1]
-    lo = allobj.min(axis=0)
-    hi = allobj.max(axis=0)
-    hi = np.where(hi - lo <= 0, lo + 1.0, hi)
-    bounds = np.stack([lo, hi], axis=1)
-    front = indicators.normalize(indicators.non_dominated_filter(allobj), bounds)
-    extremes = None
-    if m == 2:
-        order = np.lexsort((front[:, 1], front[:, 0]))
-        extremes = np.stack([front[order[0]], front[order[-1]]])
-    return _Reference(bounds=bounds, front=front, extremes=extremes,
-                      point=np.full(m, 1.01))
-
-
-def _indicators_at(archive: EvaluationArchive, count: int, ref: _Reference,
-                   policy: indicators.DistinctnessPolicy) -> dict:
-    objs = archive.objective_array()[:count]
-    front = indicators.non_dominated_filter(objs)
-    norm = indicators.normalize(front, ref.bounds)
-    m = objs.shape[1]
-    hv = indicators.hypervolume(norm, ref.point) if m in (2, 3) else float("nan")
-    gd = indicators.generational_distance(norm, ref.front)
-    sp = (indicators.spread(norm, ref.extremes)
-          if ref.extremes is not None else float("nan"))
-    crit = archive.critical_array()[:count]
-    distinct = indicators.distinct_critical(
-        archive.genome_array()[:count][crit], policy)
-    return {"hv": hv, "gd": gd, "spread": sp, "distinct_critical": distinct}
+# ---------- artifact writers ----------
 
 
 def _write_snapshots(path, rows: list[dict]) -> None:
@@ -409,6 +354,22 @@ def _compare_aggregate(tagged: list[tuple[str, dict]], quarter: int) -> dict:
     }
 
 
+def summarize_run(archive: EvaluationArchive, ref: indicators.Reference,
+                  policy: indicators.DistinctnessPolicy, quarter: int) -> dict:
+    """Per-run summary of report.json: final indicators and the hypervolume
+    after `quarter` evaluations.  Shared by run_compare and replay."""
+    final, at_quarter = indicators.prefix_indicators(
+        archive.objective_array(), archive.genome_array(),
+        archive.critical_array(), [len(archive), quarter], ref, policy)
+    return {
+        "evaluations": len(archive),
+        "distinct_critical": final["distinct_critical"],
+        "final_hv": final["hv"], "final_gd": final["gd"],
+        "final_spread": final["spread"],
+        "hv_at_quarter_budget": at_quarter["hv"],
+    }
+
+
 def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> dict:
     """Equal-budget comparison of the plain and tree-guided searches.
 
@@ -427,7 +388,6 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
 
     runs: list[dict] = []  # algorithm, repetition, seed, archive, checkpoints
     region_reports: list[dict] = []
-    records: list[RunRecord] = []
     for rep in range(config.repetitions):
         seed = config.base_seed + rep
         base_cfg = replace(config.search, generations=generations, seed=seed)
@@ -445,14 +405,9 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
         t0 = time.perf_counter()
         result = nsga2_dt(space, evaluator, dt_cfg)
         dt_guided = time.perf_counter() - t0
-        checkpoints = []
-        for stage in result.stages:
-            label = stage.kind if stage.region_index is None else (
-                f"{stage.kind}{stage.region_index:02d}")
-            for g, count in enumerate(stage.checkpoints):
-                checkpoints.append((f"it{stage.iteration:02d}:{label}:g{g:02d}", count))
         runs.append({"algorithm": "nsga2dt", "repetition": rep, "seed": seed,
-                     "archive": result.archive, "checkpoints": checkpoints,
+                     "archive": result.archive,
+                     "checkpoints": stage_checkpoints(result.stages),
                      "wall": dt_guided})
         region_reports.append({"repetition": rep, "seed": seed,
                                "iterations": result.iterations})
@@ -460,44 +415,39 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
             print(f"rep {rep}: nsga2 {len(archive)} evals ({dt_base:.1f}s), "
                   f"nsga2dt {len(result.archive)} evals ({dt_guided:.1f}s)")
 
-    ref = _build_reference([r["archive"].objective_array() for r in runs])
+    ref = indicators.build_reference([r["archive"].objective_array() for r in runs])
     quarter = config.budget // 4
 
     snapshot_rows: list[dict] = []
+    report_runs: list[dict] = []
     for r in runs:
         run_id = f"{r['algorithm']}-r{r['repetition']:02d}"
         archive: EvaluationArchive = r["archive"]
-        archive_path = out / f"archive_{run_id}.csv"
-        archive.to_csv(archive_path)
-        for stage, count in r["checkpoints"]:
-            vals = _indicators_at(archive, count, ref, config.policy)
-            snapshot_rows.append({"run_id": run_id, "algorithm": r["algorithm"],
-                                  "repetition": r["repetition"], "stage": stage,
-                                  "evaluations": count, **vals})
-        final = _indicators_at(archive, len(archive), ref, config.policy)
-        at_quarter = _indicators_at(archive, quarter, ref, config.policy)
-        r["summary"] = {
-            "evaluations": len(archive),
-            "distinct_critical": final["distinct_critical"],
-            "final_hv": final["hv"], "final_gd": final["gd"],
-            "final_spread": final["spread"],
-            "hv_at_quarter_budget": at_quarter["hv"],
-            "estimated_execution_time_s": len(archive) * config.sim_cost_s,
-        }
-        records.append(RunRecord(
-            run_id=run_id, algorithm=r["algorithm"], seed=r["seed"],
-            archive_path=str(archive_path),
-            snapshot_path=str(out / "snapshots.csv"),
-            wall_time_s=r["wall"], summary=r["summary"]))
+        archive.to_csv(out / f"archive_{run_id}.csv")
+        rows = indicators.prefix_indicators(
+            archive.objective_array(), archive.genome_array(),
+            archive.critical_array(), [count for _, count in r["checkpoints"]],
+            ref, config.policy)
+        snapshot_rows.extend(
+            {"run_id": run_id, "algorithm": r["algorithm"],
+             "repetition": r["repetition"], "stage": stage,
+             "evaluations": count, **vals}
+            for (stage, count), vals in zip(r["checkpoints"], rows))
+        summary = summarize_run(archive, ref, config.policy, quarter)
+        summary["estimated_execution_time_s"] = len(archive) * config.sim_cost_s
+        report_runs.append({"run_id": run_id, "algorithm": r["algorithm"],
+                            "seed": r["seed"], "repetition": r["repetition"],
+                            "archive_csv": f"archive_{run_id}.csv",
+                            "snapshots_csv": "snapshots.csv",
+                            "summary": summary})
 
-    snap_path = out / "snapshots.csv"
-    _write_snapshots(snap_path, snapshot_rows)
+    _write_snapshots(out / "snapshots.csv", snapshot_rows)
     emit_plots(snapshot_rows, out / "plots.csv")
     with open(out / "regions.json", "w", encoding="utf-8") as fh:
         json.dump(region_reports, fh, indent=2, sort_keys=True)
 
     aggregate = _compare_aggregate(
-        [(r["algorithm"], r["summary"]) for r in runs], quarter)
+        [(r["algorithm"], r["summary"]) for r in report_runs], quarter)
     report = {
         "kind": "compare",
         "budget": config.budget,
@@ -508,12 +458,7 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
         "distinctness": {"mode": config.policy.mode,
                          "min_vars": config.policy.min_vars,
                          "epsilon": config.policy.epsilon},
-        "runs": [{"run_id": rec.run_id, "algorithm": rec.algorithm,
-                  "seed": rec.seed, "repetition": run["repetition"],
-                  "archive_csv": Path(rec.archive_path).name,
-                  "snapshots_csv": Path(rec.snapshot_path).name,
-                  "summary": rec.summary}
-                 for run, rec in zip(runs, records)],
+        "runs": report_runs,
         "aggregate": aggregate,
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -526,7 +471,7 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
               f"nsga2dt {med['nsga2dt']:g} (ratio "
               f"{'undefined' if ratio is None else format(ratio, '.2f')}, "
               f"p {'n/a' if pvalue is None else format(pvalue, '.4g')})")
-        print(f"wall time total {sum(rec.wall_time_s for rec in records):.1f}s "
+        print(f"wall time total {sum(r['wall'] for r in runs):.1f}s "
               f"(not persisted)")
     return report
 
@@ -607,9 +552,10 @@ def score_archive(archive_path) -> dict:
     archive = EvaluationArchive.from_csv(archive_path)
     if len(archive) == 0:
         raise ConfigError(f"archive {archive_path} is empty")
-    ref = _build_reference([archive.objective_array()])
-    vals = _indicators_at(archive, len(archive), ref,
-                          indicators.DistinctnessPolicy())
+    objs = archive.objective_array()
+    [vals] = indicators.prefix_indicators(
+        objs, archive.genome_array(), archive.critical_array(), [len(archive)],
+        indicators.build_reference([objs]))
     return {"evaluations": len(archive), **vals}
 
 
@@ -627,21 +573,13 @@ def replay(out_dir, *, quiet: bool = False) -> bool:
         archives = {r["run_id"]: EvaluationArchive.from_csv(out / r["archive_csv"])
                     for r in report["runs"]}
         policy = indicators.DistinctnessPolicy(**report["distinctness"])
-        ref = _build_reference([a.objective_array() for a in archives.values()])
+        ref = indicators.build_reference(
+            [a.objective_array() for a in archives.values()])
         quarter = report["budget"] // 4
         tagged: list[tuple[str, dict]] = []
         for r in report["runs"]:
-            archive = archives[r["run_id"]]
-            final = _indicators_at(archive, len(archive), ref, policy)
-            at_q = _indicators_at(archive, quarter, ref, policy)
             expect = r["summary"]
-            got = {
-                "evaluations": len(archive),
-                "distinct_critical": final["distinct_critical"],
-                "final_hv": final["hv"], "final_gd": final["gd"],
-                "final_spread": final["spread"],
-                "hv_at_quarter_budget": at_q["hv"],
-            }
+            got = summarize_run(archives[r["run_id"]], ref, policy, quarter)
             tagged.append((r["algorithm"], got))
             for key, val in got.items():
                 if expect.get(key) != val:

@@ -3,7 +3,8 @@
 All indicators assume minimization in every objective.  Hypervolume is exact
 only (2-D sweep, 3-D slice sweep); higher dimensions raise instead of
 silently approximating.  Normalization maps objectives into the unit box so
-indicator values are comparable across runs.
+indicator values are comparable across runs; `prefix_indicators` is the one
+path that scores archive prefixes against a shared `Reference`.
 """
 
 from __future__ import annotations
@@ -244,3 +245,60 @@ def distinct_critical(genomes: np.ndarray,
         if ok:
             accepted.append(row)
     return len(accepted)
+
+
+# ---------- archive prefixes against a shared reference ----------
+
+
+@dataclass
+class Reference:
+    """What every archive prefix is scored against: per-objective bounds
+    over all archives, the normalized non-dominated front of their union,
+    that front's low-f1 and high-f1 extremes (two objectives only) and the
+    hypervolume reference point 1.01 per objective."""
+
+    bounds: np.ndarray
+    front: np.ndarray
+    extremes: np.ndarray | None
+    point: np.ndarray
+
+
+def build_reference(objective_sets: list[np.ndarray]) -> Reference:
+    """Shared reference over the union of the given (N_i, m) objective sets."""
+    allobj = np.vstack(objective_sets)
+    m = allobj.shape[1]
+    lo = allobj.min(axis=0)
+    hi = allobj.max(axis=0)
+    hi = np.where(hi - lo <= 0, lo + 1.0, hi)  # guard degenerate ranges
+    bounds = np.stack([lo, hi], axis=1)
+    front = normalize(non_dominated_filter(allobj), bounds)
+    extremes = None
+    if m == 2:
+        order = np.lexsort((front[:, 1], front[:, 0]))
+        extremes = np.stack([front[order[0]], front[order[-1]]])
+    return Reference(bounds=bounds, front=front, extremes=extremes,
+                     point=np.full(m, 1.01))
+
+
+def prefix_indicators(objectives: np.ndarray, genomes: np.ndarray,
+                      critical: np.ndarray, counts, ref: Reference,
+                      policy: DistinctnessPolicy | None = None) -> list[dict]:
+    """Score the archive prefix `[:count]` for each count in `counts`.
+
+    The rows of (N, m) `objectives`, (N, n) `genomes` and (N,) boolean
+    `critical` are in evaluation order.  Returns one {"hv", "gd", "spread",
+    "distinct_critical"} dict per count; hv is nan beyond three objectives
+    and spread beyond two."""
+    m = objectives.shape[1]
+    rows = []
+    for count in counts:
+        norm = normalize(non_dominated_filter(objectives[:count]), ref.bounds)
+        rows.append({
+            "hv": hypervolume(norm, ref.point) if m in (2, 3) else float("nan"),
+            "gd": generational_distance(norm, ref.front),
+            "spread": (spread(norm, ref.extremes)
+                       if ref.extremes is not None else float("nan")),
+            "distinct_critical": distinct_critical(
+                genomes[:count][critical[:count]], policy),
+        })
+    return rows

@@ -50,13 +50,6 @@ def test_linear_signal_interpolates_between_nodes() -> None:
     assert u[0] == 0.0 and np.isclose(u[6], 10.0 * 6 / 12.5)
 
 
-def test_constrained_mode_forces_piecewise_constant() -> None:
-    p = SignalParam(control_points=2, interpolation="linear", mode="constrained",
-                    lower=0.0, upper=1.0, horizon=10.0, period=1.0)
-    u = build_signal(p, [0.0, 1.0])
-    assert set(np.unique(u)) == {0.0, 1.0}  # no interpolated values
-
-
 def test_multi_channel_signal_layout() -> None:
     p = SignalParam(control_points=2, channels=2, lower=(0.0, -1.0),
                     upper=(1.0, 1.0), horizon=4.0, period=1.0)
@@ -82,7 +75,6 @@ def test_signal_param_validation() -> None:
     for bad in (
         dict(good, control_points=0),
         dict(good, interpolation="cubic"),
-        dict(good, mode="spline"),
         dict(good, channels=0),
         dict(good, period=0.0),
         dict(good, horizon=10.5),  # not a multiple of the period

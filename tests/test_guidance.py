@@ -9,7 +9,8 @@ import pytest
 
 from sasbt.guidance import (CriticalRegion, DtConfig, TreeNode, _best_split,
                             extract_regions, fit_tree, leaf_boxes, nsga2_dt,
-                            predict_critical)
+                            predict_critical, self_referenced_snapshots,
+                            stage_checkpoints)
 from sasbt.search import SearchConfig, SearchSpace
 
 
@@ -244,12 +245,16 @@ def test_nsga2_dt_deterministic():
 
 def test_snapshots_cover_all_stage_checkpoints():
     result = nsga2_dt(UNIT2, _box_evaluator, _small_config())
-    n_checkpoints = sum(len(s.checkpoints) for s in result.stages)
-    assert len(result.snapshots) == n_checkpoints
-    for snap in result.snapshots:
-        assert 0.0 <= snap.hv <= 1.01 ** 2 + 1e-12
-        assert snap.gd >= 0.0
-        assert snap.distinct_critical >= 0
+    snaps = self_referenced_snapshots(result.archive, result.stages)
+    checkpoints = stage_checkpoints(result.stages)
+    assert len(checkpoints) == sum(len(s.checkpoints) for s in result.stages)
+    assert [(s["stage"], s["evaluations"]) for s in snaps] == checkpoints
+    assert checkpoints[0] == ("it00:init:g00", 60)
+    for snap in snaps:
+        assert 0.0 <= snap["hv"] <= 1.01 ** 2 + 1e-12
+        assert snap["gd"] >= 0.0
+        assert snap["distinct_critical"] >= 0
+    assert snaps[-1]["gd"] == 0.0  # the final archive lies on its own front
 
 
 def test_dt_config_validation():

@@ -101,6 +101,10 @@ def test_falsify_config_from_text() -> None:
 def test_unknown_keys_are_rejected() -> None:
     with pytest.raises(ConfigError, match="unknown config keys: experiment.budgit"):
         ExperimentConfig.from_text("experiment.budgit = 100\n")
+    with pytest.raises(ConfigError, match="unknown config keys: signal.mode"):
+        ExperimentConfig.from_text("experiment.kind = falsify\n"
+                                   "falsify.requirement = y0 <= 1\n"
+                                   "signal.mode = constrained\n")
 
 
 def test_inconsistent_budgets_are_rejected() -> None:
@@ -230,12 +234,15 @@ def _edit_report(copy: Path, mutate) -> None:
     (copy / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
 
 
+@pytest.mark.parametrize("key", ["evaluations", "distinct_critical", "final_hv",
+                                 "final_gd", "final_spread",
+                                 "hv_at_quarter_budget"])
 def test_replay_detects_tampered_report(compare_run: tuple[Path, dict],
-                                        tmp_path: Path) -> None:
+                                        tmp_path: Path, key: str) -> None:
     out, _ = compare_run
     copy = _copy_run(out, tmp_path)
     _edit_report(copy, lambda r: r["runs"][0]["summary"].__setitem__(
-        "distinct_critical", r["runs"][0]["summary"]["distinct_critical"] + 1))
+        key, r["runs"][0]["summary"][key] + 1))
     assert not replay(copy, quiet=True)
 
 
