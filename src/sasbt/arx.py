@@ -137,27 +137,24 @@ def fit_arx(u, y, config: ArxConfig | None = None) -> ArxModel:
         if n_params == 0:
             raise ValueError(f"output {i} has no regressors (na and nb all zero)")
         k0 = _row_start(na, nb, nk, i)
-        rows: list[np.ndarray] = []
-        targets: list[float] = []
+        blocks: list[np.ndarray] = []
+        targets: list[np.ndarray] = []
         for uu, yy in traces:
-            for k in range(k0, uu.shape[0]):
-                row = np.empty(n_params)
-                pos = 0
-                for j in range(ny):
-                    for lag in range(1, na[i, j] + 1):
-                        row[pos] = yy[k - lag, j]
-                        pos += 1
-                for j in range(nu):
-                    for lag in range(nb[i, j]):
-                        row[pos] = uu[k - nk[i, j] - lag, j]
-                        pos += 1
-                rows.append(row)
-                targets.append(yy[k, i])
-        if len(rows) < n_params:
+            n = uu.shape[0]
+            if n <= k0:  # no full regressor row (and a slice would wrap around)
+                continue
+            cols = [yy[k0 - lag:n - lag, j]
+                    for j in range(ny) for lag in range(1, na[i, j] + 1)]
+            cols += [uu[k0 - nk[i, j] - lag:n - nk[i, j] - lag, j]
+                     for j in range(nu) for lag in range(nb[i, j])]
+            blocks.append(np.column_stack(cols))
+            targets.append(yy[k0:n, i])
+        n_rows = sum(block.shape[0] for block in blocks)
+        if n_rows < n_params:
             raise ValueError(
-                f"output {i}: {len(rows)} regression rows for {n_params} coefficients")
-        phi = np.asarray(rows)
-        tgt = np.asarray(targets)
+                f"output {i}: {n_rows} regression rows for {n_params} coefficients")
+        phi = np.vstack(blocks)
+        tgt = np.concatenate(targets)
         th, _, rank, _ = np.linalg.lstsq(phi, tgt, rcond=None)
         rank_deficient = rank_deficient or rank < n_params
         resid = tgt - phi @ th

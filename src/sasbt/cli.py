@@ -4,7 +4,7 @@ Subcommands:
   compare     equal-budget comparison of plain vs tree-guided search
   falsify     repeated surrogate-assisted falsification trials
   indicators  score one archive CSV with the quality indicators
-  replay      recompute an experiment's summaries from its artifacts
+  replay      re-render an experiment's derived artifacts and compare bytes
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for runtime
 failures (including replay mismatches).
@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("archive", help="archive CSV produced by an experiment")
     p.add_argument("--out", default=None, help="write the scores as JSON here")
 
-    p = sub.add_parser("replay", help="verify an output directory's report")
+    p = sub.add_parser("replay", help="re-render an output directory's "
+                       "derived files from its inputs and compare bytes")
     p.add_argument("directory", help="experiment output directory")
     return parser
 

@@ -5,13 +5,20 @@ README for the schema).  Every experiment derives per-repetition seeds as
 base_seed + repetition index and writes deterministic artifacts: rerunning
 the same config produces byte-identical files.  Wall-clock timings are
 printed to the console only, never persisted, to keep outputs reproducible.
+
+An experiment first runs (searches or trials, results kept in memory) and
+then renders: `_compare_outputs` and `_falsify_outputs` turn the results
+into the text of every derived artifact.  The run writes that text; `replay`
+rebuilds the same inputs from the persisted archives and snapshot
+checkpoints, or from the trial round logs, renders them through the same
+functions and compares the bytes.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -20,8 +27,9 @@ from scipy.stats import mannwhitneyu
 
 from . import indicators, scenario
 from .arx import ArxConfig
-from .falsify import (SignalParam, benchmark_sut, falsification_stats, falsify,
-                      format_stats_row, random_baseline)
+from .falsify import (FalsifyResult, RoundLog, SignalParam, benchmark_sut,
+                      falsification_stats, falsify, format_stats_row,
+                      random_baseline)
 from .guidance import DtConfig, nsga2_dt, stage_checkpoints
 from .search import EvaluationArchive, SearchConfig, evolve
 from .stl import Formula, format_requirement, parse_requirement
@@ -114,7 +122,6 @@ class ExperimentConfig:
     budget: int = 1000
     repetitions: int = 10
     base_seed: int = 1
-    sim_cost_s: float = 1.0  # per-simulation cost used for time estimates
     sim: scenario.SimConfig = field(default_factory=scenario.SimConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
     dt: DtConfig = field(default_factory=DtConfig)
@@ -160,8 +167,6 @@ class ExperimentConfig:
         if self.dt.budget != self.budget:
             raise ConfigError(
                 f"unequal budgets: search {self.budget} vs tree-guided {self.dt.budget}")
-        if self.budget < 4:
-            raise ConfigError("budget too small for quarter-budget snapshots")
 
     def _validate_falsify(self) -> None:
         if self.requirement is None:
@@ -183,7 +188,6 @@ class ExperimentConfig:
         self.budget = cfg.int_("experiment.budget", self.budget)
         self.repetitions = cfg.int_("experiment.repetitions", self.repetitions)
         self.base_seed = cfg.int_("experiment.base_seed", self.base_seed)
-        self.sim_cost_s = cfg.float_("experiment.sim_cost_s", self.sim_cost_s)
 
         d = scenario.SimConfig()
         bounds = (cfg.floats_("sim.bounds_v0c", d.input_bounds[0]),
@@ -224,14 +228,9 @@ class ExperimentConfig:
             generations=0,  # derived from the budget at run time
             crossover_prob=cfg.float_("search.crossover_prob", s.crossover_prob),
             crossover_index=cfg.float_("search.crossover_index", s.crossover_index),
+            mutation_prob=cfg.float_("search.mutation_prob", s.mutation_prob),
             mutation_index=cfg.float_("search.mutation_index", s.mutation_index),
         )
-        mut = cfg._take("search.mutation_prob")
-        if mut is not None:
-            try:
-                self.search.mutation_prob = float(mut)
-            except ValueError as exc:
-                raise ConfigError("search.mutation_prob: expected number") from exc
 
         g = DtConfig()
         self.dt = DtConfig(
@@ -250,10 +249,11 @@ class ExperimentConfig:
             ),
         )
 
+        dist = indicators.DistinctnessPolicy()
         self.policy = indicators.DistinctnessPolicy(
-            mode=cfg.str_("distinct.mode", "any-difference"),
-            min_vars=cfg.int_("distinct.min_vars", 1),
-            epsilon=cfg.float_("distinct.epsilon", 0.0),
+            mode=cfg.str_("distinct.mode", dist.mode),
+            min_vars=cfg.int_("distinct.min_vars", dist.min_vars),
+            epsilon=cfg.float_("distinct.epsilon", dist.epsilon),
         )
 
         self.system = cfg.str_("falsify.system", self.system)
@@ -268,16 +268,17 @@ class ExperimentConfig:
                                          self.surrogate_budget)
         self.method = cfg.str_("falsify.method", self.method)
         self.n_initial = cfg.int_("falsify.n_initial", self.n_initial)
-        self.arx = ArxConfig(na=cfg.int_("falsify.arx_na", 2),
-                             nb=cfg.int_("falsify.arx_nb", 2),
-                             nk=cfg.int_("falsify.arx_nk", 2))
+        a = ArxConfig()
+        self.arx = ArxConfig(na=cfg.int_("falsify.arx_na", a.na),
+                             nb=cfg.int_("falsify.arx_nb", a.nb),
+                             nk=cfg.int_("falsify.arx_nk", a.nk))
 
         p = SignalParam()
         self.signal = SignalParam(
             control_points=cfg.int_("signal.control_points", p.control_points),
             interpolation=cfg.str_("signal.interpolation", p.interpolation),
-            lower=cfg.float_("signal.lower", 0.0),
-            upper=cfg.float_("signal.upper", 1.0),
+            lower=cfg.float_("signal.lower", p.lower),
+            upper=cfg.float_("signal.upper", p.upper),
             horizon=cfg.float_("signal.horizon", p.horizon),
             period=cfg.float_("signal.period", p.period),
             channels=cfg.int_("signal.channels", p.channels),
@@ -295,39 +296,19 @@ class ExperimentConfig:
         return cls.from_text(text)
 
 
-# ---------- artifact writers ----------
+# ---------- rendering results to artifact text ----------
+
+ALGORITHMS = ("nsga2", "nsga2dt")
+METRICS = ("hv", "gd", "spread", "distinct_critical")
 
 
-def _write_snapshots(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("run_id,stage,evaluations,hv,gd,spread,distinct_critical\n")
-        for r in rows:
-            fh.write(",".join([
-                r["run_id"], r["stage"], str(r["evaluations"]),
-                repr(r["hv"]), repr(r["gd"]), repr(r["spread"]),
-                str(r["distinct_critical"]),
-            ]) + "\n")
-
-
-def emit_plots(snapshot_rows: list[dict], path) -> None:
-    """Long-format plot data: algorithm,repetition,evaluations,metric,value."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("algorithm,repetition,evaluations,metric,value\n")
-        for r in snapshot_rows:
-            for metric in ("hv", "gd", "spread", "distinct_critical"):
-                fh.write(",".join([
-                    r["algorithm"], str(r["repetition"]), str(r["evaluations"]),
-                    metric, repr(float(r[metric])),
-                ]) + "\n")
-
-
-# ---------- compare experiment ----------
+def _run_id(algorithm: str, repetition: int) -> str:
+    return f"{algorithm}-r{repetition:02d}"
 
 
 def _compare_aggregate(tagged: list[tuple[str, dict]], quarter: int) -> dict:
     """Cross-repetition medians, ratio and rank-sum test over per-run
-    (algorithm, summary) pairs.  Shared by run_compare and replay so the
-    emitted aggregate can be recomputed verbatim from the archives."""
+    (algorithm, summary) pairs."""
     def pick(tag: str, key: str) -> list:
         return [s[key] for algorithm, s in tagged if algorithm == tag]
 
@@ -354,20 +335,88 @@ def _compare_aggregate(tagged: list[tuple[str, dict]], quarter: int) -> dict:
     }
 
 
-def summarize_run(archive: EvaluationArchive, ref: indicators.Reference,
-                  policy: indicators.DistinctnessPolicy, quarter: int) -> dict:
-    """Per-run summary of report.json: final indicators and the hypervolume
-    after `quarter` evaluations.  Shared by run_compare and replay."""
-    final, at_quarter = indicators.prefix_indicators(
-        archive.objective_array(), archive.genome_array(),
-        archive.critical_array(), [len(archive), quarter], ref, policy)
-    return {
-        "evaluations": len(archive),
-        "distinct_critical": final["distinct_critical"],
-        "final_hv": final["hv"], "final_gd": final["gd"],
-        "final_spread": final["spread"],
-        "hv_at_quarter_budget": at_quarter["hv"],
+def _compare_outputs(head: dict, runs: list[dict]) -> dict[str, str]:
+    """Text of snapshots.csv, plots.csv and report.json.
+
+    `head` is report.json without its runs and aggregate.  Each run carries
+    its algorithm, repetition, archive and checkpoints, the (stage,
+    evaluations) pairs whose archive prefixes are scored; the last one must
+    cover the whole archive, since its row is the run's final summary.
+    Every prefix of every run is scored against one reference built from
+    all archives.
+    """
+    policy = indicators.DistinctnessPolicy(**head["distinctness"])
+    quarter = head["budget"] // 4
+    arrays = [(r["archive"].objective_array(), r["archive"].genome_array(),
+               r["archive"].critical_array()) for r in runs]
+    ref = indicators.build_reference([objs for objs, _, _ in arrays])
+    snapshots = ["run_id,stage,evaluations,hv,gd,spread,distinct_critical\n"]
+    plots = ["algorithm,repetition,evaluations,metric,value\n"]
+    report_runs = []
+    for r, (objs, genomes, critical) in zip(runs, arrays):
+        run_id = _run_id(r["algorithm"], r["repetition"])
+        counts = [count for _, count in r["checkpoints"]]
+        if not counts or counts[-1] != len(objs):
+            raise ValueError(f"{run_id}: checkpoints do not end at the archive "
+                             f"length {len(objs)}")
+        *rows, at_quarter = indicators.prefix_indicators(
+            objs, genomes, critical, counts + [quarter], ref, policy)
+        for (stage, count), v in zip(r["checkpoints"], rows):
+            snapshots.append(f"{run_id},{stage},{count},{v['hv']!r},{v['gd']!r},"
+                             f"{v['spread']!r},{v['distinct_critical']}\n")
+            plots.extend(f"{r['algorithm']},{r['repetition']},{count},{metric},"
+                         f"{float(v[metric])!r}\n" for metric in METRICS)
+        final = rows[-1]
+        report_runs.append({
+            "run_id": run_id, "algorithm": r["algorithm"],
+            "seed": head["base_seed"] + r["repetition"],
+            "repetition": r["repetition"], "archive_csv": f"archive_{run_id}.csv",
+            "snapshots_csv": "snapshots.csv",
+            "summary": {"evaluations": len(objs),
+                        "distinct_critical": final["distinct_critical"],
+                        "final_hv": final["hv"], "final_gd": final["gd"],
+                        "final_spread": final["spread"],
+                        "hv_at_quarter_budget": at_quarter["hv"]}})
+    aggregate = _compare_aggregate(
+        [(r["algorithm"], r["summary"]) for r in report_runs], quarter)
+    report = {**head, "runs": report_runs, "aggregate": aggregate}
+    return {"snapshots.csv": "".join(snapshots), "plots.csv": "".join(plots),
+            "report.json": json.dumps(report, indent=2, sort_keys=True)}
+
+
+def _falsify_outputs(head: dict, results: list[FalsifyResult]) -> dict[str, str]:
+    """Text of each trial_NN.jsonl round log, stats.csv and report.json.
+
+    `head` is report.json without its trials and stats; trial i of
+    `results` ran with seed base_seed + i.
+    """
+    texts = {f"trial_{i:02d}.jsonl": "".join(
+        json.dumps(asdict(r), sort_keys=True) + "\n" for r in res.rounds)
+        for i, res in enumerate(results)}
+    stats = falsification_stats(results)
+    texts["stats.csv"] = ("requirement,FR,mean,median\n" + format_stats_row(
+        f"{head['system']}: {head['requirement']}", stats) + "\n")
+    report = {
+        **head,
+        "trials": [{"trial": i, "seed": head["base_seed"] + i,
+                    "falsified": r.falsified,
+                    "real_simulations": r.real_simulations}
+                   for i, r in enumerate(results)],
+        "stats": {"FR": stats.fr, "mean": stats.mean_sims,
+                  "median": stats.median_sims},
     }
+    texts["report.json"] = json.dumps(report, indent=2, sort_keys=True)
+    return texts
+
+
+def _write(out: Path, texts: dict[str, str]) -> dict:
+    """Write rendered artifacts; returns the report they contain."""
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    return json.loads(texts["report.json"])
+
+
+# ---------- compare experiment ----------
 
 
 def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> dict:
@@ -384,86 +433,54 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
     out.mkdir(parents=True, exist_ok=True)
     space = scenario.search_space(config.sim)
     evaluator = scenario.make_evaluator(config.sim)
-    generations = config.budget // config.search.population - 1
+    pop = config.search.population
+    generations = config.budget // pop - 1
 
-    runs: list[dict] = []  # algorithm, repetition, seed, archive, checkpoints
+    runs: list[dict] = []  # algorithm, repetition, archive, checkpoints
     region_reports: list[dict] = []
+    wall = 0.0
     for rep in range(config.repetitions):
         seed = config.base_seed + rep
         base_cfg = replace(config.search, generations=generations, seed=seed)
         t0 = time.perf_counter()
         _, archive = evolve(space, base_cfg, evaluator, run_id=rep)
         dt_base = time.perf_counter() - t0
-        pop = config.search.population
-        checkpoints = [("g%02d" % g, pop * (g + 1)) for g in range(generations + 1)]
-        runs.append({"algorithm": "nsga2", "repetition": rep, "seed": seed,
-                     "archive": archive, "checkpoints": checkpoints,
-                     "wall": dt_base})
+        runs.append({"algorithm": "nsga2", "repetition": rep, "archive": archive,
+                     "checkpoints": [("g%02d" % g, pop * (g + 1))
+                                     for g in range(generations + 1)]})
 
-        dt_cfg = replace(config.dt, seed=seed)
-        dt_cfg.search = replace(config.dt.search)
         t0 = time.perf_counter()
-        result = nsga2_dt(space, evaluator, dt_cfg)
+        result = nsga2_dt(space, evaluator, replace(config.dt, seed=seed))
         dt_guided = time.perf_counter() - t0
-        runs.append({"algorithm": "nsga2dt", "repetition": rep, "seed": seed,
+        runs.append({"algorithm": "nsga2dt", "repetition": rep,
                      "archive": result.archive,
-                     "checkpoints": stage_checkpoints(result.stages),
-                     "wall": dt_guided})
+                     "checkpoints": stage_checkpoints(result.stages)})
         region_reports.append({"repetition": rep, "seed": seed,
                                "iterations": result.iterations})
+        wall += dt_base + dt_guided
         if not quiet:
             print(f"rep {rep}: nsga2 {len(archive)} evals ({dt_base:.1f}s), "
                   f"nsga2dt {len(result.archive)} evals ({dt_guided:.1f}s)")
 
-    ref = indicators.build_reference([r["archive"].objective_array() for r in runs])
-    quarter = config.budget // 4
-
-    snapshot_rows: list[dict] = []
-    report_runs: list[dict] = []
     for r in runs:
-        run_id = f"{r['algorithm']}-r{r['repetition']:02d}"
-        archive: EvaluationArchive = r["archive"]
-        archive.to_csv(out / f"archive_{run_id}.csv")
-        rows = indicators.prefix_indicators(
-            archive.objective_array(), archive.genome_array(),
-            archive.critical_array(), [count for _, count in r["checkpoints"]],
-            ref, config.policy)
-        snapshot_rows.extend(
-            {"run_id": run_id, "algorithm": r["algorithm"],
-             "repetition": r["repetition"], "stage": stage,
-             "evaluations": count, **vals}
-            for (stage, count), vals in zip(r["checkpoints"], rows))
-        summary = summarize_run(archive, ref, config.policy, quarter)
-        summary["estimated_execution_time_s"] = len(archive) * config.sim_cost_s
-        report_runs.append({"run_id": run_id, "algorithm": r["algorithm"],
-                            "seed": r["seed"], "repetition": r["repetition"],
-                            "archive_csv": f"archive_{run_id}.csv",
-                            "snapshots_csv": "snapshots.csv",
-                            "summary": summary})
-
-    _write_snapshots(out / "snapshots.csv", snapshot_rows)
-    emit_plots(snapshot_rows, out / "plots.csv")
+        run_id = _run_id(r["algorithm"], r["repetition"])
+        r["archive"].to_csv(out / f"archive_{run_id}.csv")
     with open(out / "regions.json", "w", encoding="utf-8") as fh:
         json.dump(region_reports, fh, indent=2, sort_keys=True)
-
-    aggregate = _compare_aggregate(
-        [(r["algorithm"], r["summary"]) for r in report_runs], quarter)
-    report = {
+    head = {
         "kind": "compare",
         "budget": config.budget,
         "repetitions": config.repetitions,
         "base_seed": config.base_seed,
-        "population": config.search.population,
+        "population": pop,
         "generations": generations,
         "distinctness": {"mode": config.policy.mode,
                          "min_vars": config.policy.min_vars,
                          "epsilon": config.policy.epsilon},
-        "runs": report_runs,
-        "aggregate": aggregate,
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    report = _write(out, _compare_outputs(head, runs))
     if not quiet:
+        aggregate = report["aggregate"]
         med = aggregate["distinct_critical_median"]
         ratio, pvalue = (aggregate["distinct_critical_ratio"],
                          aggregate["ranksum_pvalue"])
@@ -471,8 +488,7 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
               f"nsga2dt {med['nsga2dt']:g} (ratio "
               f"{'undefined' if ratio is None else format(ratio, '.2f')}, "
               f"p {'n/a' if pvalue is None else format(pvalue, '.4g')})")
-        print(f"wall time total {sum(r['wall'] for r in runs):.1f}s "
-              f"(not persisted)")
+        print(f"wall time total {wall:.1f}s (not persisted)")
     return report
 
 
@@ -502,44 +518,25 @@ def run_falsify(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
                           arx=config.arx, optimizer=config.method,
                           n_initial=config.n_initial, seed=seed)
         results.append(res)
-        with open(out / f"trial_{trial:02d}.jsonl", "w", encoding="utf-8") as fh:
-            for r in res.rounds:
-                fh.write(json.dumps({
-                    "round": r.round,
-                    "surrogate_residual": r.surrogate_residual,
-                    "best_surrogate_robustness": r.best_surrogate_robustness,
-                    "real_robustness": r.real_robustness,
-                }, sort_keys=True) + "\n")
         if not quiet:
             print(f"trial {trial}: {'falsified' if res.falsified else 'exhausted'} "
                   f"after {res.real_simulations} real simulations")
     wall = time.perf_counter() - t0
 
-    stats = falsification_stats(results)
-    req_text = format_requirement(config.requirement)
-    with open(out / "stats.csv", "w", encoding="utf-8") as fh:
-        fh.write("requirement,FR,mean,median\n")
-        fh.write(format_stats_row(f"{config.system}: {req_text}", stats) + "\n")
-    report = {
+    head = {
         "kind": "falsify",
         "system": config.system,
-        "requirement": req_text,
+        "requirement": format_requirement(config.requirement),
         "method": config.method,
         "real_budget": config.real_budget,
         "surrogate_budget": config.surrogate_budget,
         "repetitions": config.repetitions,
         "base_seed": config.base_seed,
-        "trials": [{"trial": i, "seed": config.base_seed + i,
-                    "falsified": r.falsified,
-                    "real_simulations": r.real_simulations}
-                   for i, r in enumerate(results)],
-        "stats": {"FR": stats.fr, "mean": stats.mean_sims,
-                  "median": stats.median_sims},
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    report = _write(out, _falsify_outputs(head, results))
     if not quiet:
-        print(f"FR {stats.fr}/{stats.trials}; wall time {wall:.1f}s (not persisted)")
+        print(f"FR {report['stats']['FR']}/{config.repetitions}; "
+              f"wall time {wall:.1f}s (not persisted)")
     return report
 
 
@@ -559,72 +556,76 @@ def score_archive(archive_path) -> dict:
     return {"evaluations": len(archive), **vals}
 
 
+def _compare_inputs(out: Path, head: dict) -> list[dict]:
+    """The runs of a compare experiment as _compare_outputs takes them:
+    each archive CSV with the (stage, evaluations) checkpoints that
+    snapshots.csv lists for its run."""
+    checkpoints: dict[str, list[tuple[str, int]]] = {}
+    with open(out / "snapshots.csv", "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line in fh:
+            run_id, stage, count = line.split(",")[:3]
+            checkpoints.setdefault(run_id, []).append((stage, int(count)))
+    return [{"algorithm": algorithm, "repetition": rep,
+             "archive": EvaluationArchive.from_csv(
+                 out / f"archive_{_run_id(algorithm, rep)}.csv"),
+             "checkpoints": checkpoints.get(_run_id(algorithm, rep), [])}
+            for rep in range(head["repetitions"]) for algorithm in ALGORITHMS]
+
+
+def _trial_result(path: Path) -> FalsifyResult:
+    """A trial's result as far as its round log records it: a trial stops
+    at its first real violation, so it is falsified exactly when the last
+    logged robustness is negative."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rounds = [RoundLog(**json.loads(line)) for line in fh if line.strip()]
+    falsified = bool(rounds) and rounds[-1].real_robustness < 0.0
+    return FalsifyResult(falsified, len(rounds), None, None, rounds)
+
+
+def _first_difference(found: str, expected: str) -> str:
+    for lineno, (a, b) in enumerate(zip(found.splitlines(), expected.splitlines()), 1):
+        if a != b:
+            return f"line {lineno}: {a!r} vs recomputed {b!r}"
+    return "line counts differ"
+
+
 def replay(out_dir, *, quiet: bool = False) -> bool:
-    """Recompute aggregate summaries from the persisted archives and check
-    them against report.json.  Returns True when everything matches."""
+    """Re-render every derived artifact of an output directory from its
+    inputs (the archives and snapshot checkpoints, or the trial round logs)
+    through the code that wrote it, and compare the bytes.  Returns True
+    when every file matches."""
     out = Path(out_dir)
     report_path = out / "report.json"
     if not report_path.exists():
         raise ConfigError(f"no report.json under {out_dir}")
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
+    kind = report.get("kind")
+    if kind not in ("compare", "falsify"):
+        raise ConfigError(f"report kind {kind!r} not replayable")
+    try:
+        head = {k: v for k, v in report.items()
+                if k not in ("runs", "aggregate", "trials", "stats")}
+        if kind == "compare":
+            expected = _compare_outputs(head, _compare_inputs(out, head))
+        else:
+            expected = _falsify_outputs(
+                head, [_trial_result(out / f"trial_{i:02d}.jsonl")
+                       for i in range(head["repetitions"])])
+    except (KeyError, TypeError, ValueError) as exc:
+        if not quiet:
+            print(f"replay cannot re-render the artifacts: {exc!r}")
+        return False
     ok = True
-    if report.get("kind") == "compare":
-        archives = {r["run_id"]: EvaluationArchive.from_csv(out / r["archive_csv"])
-                    for r in report["runs"]}
-        policy = indicators.DistinctnessPolicy(**report["distinctness"])
-        ref = indicators.build_reference(
-            [a.objective_array() for a in archives.values()])
-        quarter = report["budget"] // 4
-        tagged: list[tuple[str, dict]] = []
-        for r in report["runs"]:
-            expect = r["summary"]
-            got = summarize_run(archives[r["run_id"]], ref, policy, quarter)
-            tagged.append((r["algorithm"], got))
-            for key, val in got.items():
-                if expect.get(key) != val:
-                    ok = False
-                    if not quiet:
-                        print(f"mismatch {r['run_id']}.{key}: "
-                              f"report {expect.get(key)} vs recomputed {val}")
-        aggregate = _compare_aggregate(tagged, quarter)
-        emitted = report.get("aggregate", {})
-        for key, val in aggregate.items():
-            if emitted.get(key) != val:
-                ok = False
-                if not quiet:
-                    print(f"mismatch aggregate.{key}: report {emitted.get(key)} "
-                          f"vs recomputed {val}")
-    elif report.get("kind") == "falsify":
-        sims_when_falsified: list[int] = []
-        for t in report["trials"]:
-            path = out / f"trial_{t['trial']:02d}.jsonl"
-            with open(path, "r", encoding="utf-8") as fh:
-                rows = [json.loads(line) for line in fh if line.strip()]
-            falsified = bool(rows) and rows[-1]["real_robustness"] < 0
-            if falsified:
-                sims_when_falsified.append(len(rows))
-            if len(rows) != t["real_simulations"] or falsified != t["falsified"]:
-                ok = False
-                if not quiet:
-                    print(f"mismatch trial {t['trial']}: log has {len(rows)} "
-                          f"simulations, falsified={falsified}")
-        stats = {
-            "FR": len(sims_when_falsified),
-            "mean": (float(np.mean(sims_when_falsified))
-                     if sims_when_falsified else None),
-            "median": (float(np.median(sims_when_falsified))
-                       if sims_when_falsified else None),
-        }
-        emitted = report.get("stats", {})
-        for key, val in stats.items():
-            if emitted.get(key) != val:
-                ok = False
-                if not quiet:
-                    print(f"mismatch stats.{key}: report {emitted.get(key)} "
-                          f"vs recomputed {val}")
-    else:
-        raise ConfigError(f"report kind {report.get('kind')!r} not replayable")
+    for name, text in expected.items():
+        path = out / name
+        found = path.read_text(encoding="utf-8") if path.exists() else None
+        if found != text:
+            ok = False
+            if not quiet:
+                print(f"mismatch {name}: " + ("file missing" if found is None
+                                              else _first_difference(found, text)))
     if not quiet:
         print("replay OK" if ok else "replay found mismatches")
     return ok

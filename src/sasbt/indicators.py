@@ -42,24 +42,21 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
 
 
 def _non_dominated_mask_2d(pts: np.ndarray) -> np.ndarray:
+    # Kung-Luccio-Preparata sort and sweep: after sorting by (f1, f2), a point
+    # is dominated iff an earlier f1 group reaches its f2 or its own group's
+    # minimum f2 (the group's first entry) is smaller
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    mask = np.zeros(pts.shape[0], dtype=bool)
-    best_before = np.inf  # min f2 among points with strictly smaller f1
-    i = 0
-    n = order.size
-    while i < n:
-        j = i
-        x = pts[order[i], 0]
-        while j < n and pts[order[j], 0] == x:
-            j += 1
-        group = order[i:j]  # equal f1, sorted by f2
-        group_min = pts[group[0], 1]
-        for idx in group:
-            y = pts[idx, 1]
-            dominated = best_before <= y or y > group_min
-            mask[idx] = not dominated
-        best_before = min(best_before, group_min)
-        i = j
+    f1, f2 = pts[order, 0], pts[order, 1]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = f1[1:] != f1[:-1]
+    group = np.cumsum(first) - 1
+    group_min = f2[first]
+    best_before = np.empty_like(group_min)  # min f2 over smaller f1; NaN never wins
+    best_before[0] = np.inf
+    best_before[1:] = np.fmin.accumulate(group_min)[:-1]
+    dominated = (best_before[group] <= f2) | (f2 > group_min[group])
+    mask = np.empty(order.size, dtype=bool)
+    mask[order] = ~dominated
     return mask
 
 

@@ -210,3 +210,38 @@ def test_siso_accessor_rejects_multi_channel_models() -> None:
     model = fit_arx(u, y, ArxConfig(na=1, nb=1, nk=0))
     with pytest.raises(ValueError, match="single-input"):
         model.siso_coefficients()
+
+
+def row_by_row_theta(us, ys, na, nb, nk) -> list[np.ndarray]:
+    """Reference least-squares fit: one regressor row per sample, built
+    entry by entry, over every trace long enough to give a full row."""
+    thetas = []
+    for i in range(na.shape[0]):
+        k0 = max([int(v) for v in na[i]]
+                 + [int(nk[i, j] + nb[i, j] - 1) for j in range(nb.shape[1]) if nb[i, j]])
+        rows, targets = [], []
+        for u, y in zip(us, ys):
+            for k in range(k0, u.shape[0]):
+                rows.append([y[k - lag, j] for j in range(y.shape[1])
+                             for lag in range(1, na[i, j] + 1)]
+                            + [u[k - nk[i, j] - lag, j] for j in range(u.shape[1])
+                               for lag in range(nb[i, j])])
+                targets.append(y[k, i])
+        thetas.append(np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)[0])
+    return thetas
+
+
+def test_fit_matches_row_by_row_reference() -> None:
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        ny, nu = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        na = rng.integers(0, 3, size=(ny, ny))
+        nb = rng.integers(1, 3, size=(ny, nu))
+        nk = rng.integers(0, 3, size=(ny, nu))
+        # trace lengths include ones shorter than the first full row
+        us = [rng.normal(size=(int(n), nu)) for n in rng.integers(0, 25, size=3)]
+        us.append(rng.normal(size=(30, nu)))
+        ys = [rng.normal(size=(u.shape[0], ny)) for u in us]
+        model = fit_arx(us, ys, ArxConfig(na=na, nb=nb, nk=nk))
+        for got, want in zip(model.theta, row_by_row_theta(us, ys, na, nb, nk)):
+            np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")

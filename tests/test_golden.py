@@ -6,7 +6,10 @@ agree.  This module pins the SHA-256 of every artifact that
 refactor or optimisation that flips a single bit of any archive, snapshot,
 plot row, region report, trial log or report fails here.  The digests were
 recorded once from the code before any such change; a change that alters
-numerics on purpose must say so and re-record them.
+numerics on purpose must say so and re-record them.  So far one has been
+re-recorded: `compare_small/report.json`, when the per-run
+`estimated_execution_time_s` (evaluations times a configured constant) left
+report.json.
 
 The three runs take a few seconds in total.
 """
@@ -30,7 +33,7 @@ GOLDEN = {
         "archive_nsga2dt-r02.csv": "ef28006832a4da38ae26322a30ef2d02d361f0910bec11ffd30c1e76ce983f12",
         "plots.csv": "33268d859c7687ffa7aeb735f1e3553db783920b48d5fe0dda89c407190d3600",
         "regions.json": "9448d309e74562d13ab3425f50b3e7ca74979f1755d403ee40f8da4e6c10ba03",
-        "report.json": "06cf1b113838b756a38814c5ba240419c691b0a6f43cd9f85f6d5fd6916fdd88",
+        "report.json": "608becbaf240c49944362213b92415c3e6e98541ee9e3db4a43a32608d345d44",
         "snapshots.csv": "5753f2683f9e812a027d0f3100e0a89a9fbc5f93095f9dd58e8665d8a8179f2c",
     },
     "falsify_lti2": {

@@ -12,15 +12,17 @@ import pytest
 
 from sasbt import cli
 from sasbt.harness import (
+    METRICS,
     ConfigError,
     ExperimentConfig,
-    emit_plots,
+    _compare_outputs,
     parse_config_text,
     replay,
     run_compare,
     run_falsify,
     score_archive,
 )
+from sasbt.search import EvaluationArchive
 from sasbt.stl import Always, Atom
 
 COMPARE_TEXT = """
@@ -105,6 +107,8 @@ def test_unknown_keys_are_rejected() -> None:
         ExperimentConfig.from_text("experiment.kind = falsify\n"
                                    "falsify.requirement = y0 <= 1\n"
                                    "signal.mode = constrained\n")
+    with pytest.raises(ConfigError, match="unknown config keys: experiment.sim_cost_s"):
+        ExperimentConfig.from_text("experiment.sim_cost_s = 2.5\n")
 
 
 def test_inconsistent_budgets_are_rejected() -> None:
@@ -246,6 +250,50 @@ def test_replay_detects_tampered_report(compare_run: tuple[Path, dict],
     assert not replay(copy, quiet=True)
 
 
+def test_replay_detects_tampered_run_seed(compare_run: tuple[Path, dict],
+                                          tmp_path: Path) -> None:
+    out, _ = compare_run
+    copy = _copy_run(out, tmp_path)
+    _edit_report(copy, lambda r: r["runs"][1].__setitem__("seed", 0))
+    assert not replay(copy, quiet=True)
+
+
+def _edit_line(path: Path, lineno: int, field: int, value: str) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    parts = lines[lineno].rstrip("\n").split(",")
+    assert parts[field] != value
+    parts[field] = value
+    lines[lineno] = ",".join(parts) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("field", [3, 4, 5, 6])  # hv, gd, spread, distinct_critical
+def test_replay_detects_tampered_snapshots(compare_run: tuple[Path, dict],
+                                           tmp_path: Path, field: int) -> None:
+    out, _ = compare_run
+    copy = _copy_run(out, tmp_path)
+    # an intermediate checkpoint: it is in no report.json summary
+    _edit_line(copy / "snapshots.csv", 3, field, "7")
+    assert not replay(copy, quiet=True)
+
+
+def test_replay_detects_tampered_plots(compare_run: tuple[Path, dict],
+                                       tmp_path: Path) -> None:
+    out, _ = compare_run
+    copy = _copy_run(out, tmp_path)
+    _edit_line(copy / "plots.csv", 9, 4, "0.125")
+    assert not replay(copy, quiet=True)
+
+
+def test_replay_without_snapshot_rows_fails_cleanly(compare_run: tuple[Path, dict],
+                                                    tmp_path: Path) -> None:
+    out, _ = compare_run
+    copy = _copy_run(out, tmp_path)
+    header = (copy / "snapshots.csv").read_text().splitlines(keepends=True)[0]
+    (copy / "snapshots.csv").write_text(header)
+    assert not replay(copy, quiet=True)
+
+
 def test_replay_detects_tampered_aggregate(compare_run: tuple[Path, dict],
                                            tmp_path: Path) -> None:
     out, _ = compare_run
@@ -291,16 +339,31 @@ def test_score_archive(compare_run: tuple[Path, dict], tmp_path: Path) -> None:
         score_archive(empty)
 
 
-def test_emit_plots_long_format(tmp_path: Path) -> None:
-    rows = [{"algorithm": "nsga2", "repetition": 0, "evaluations": 8,
-             "hv": 0.5, "gd": 0.25, "spread": 1.0, "distinct_critical": 2}]
-    path = tmp_path / "plots.csv"
-    emit_plots(rows, path)
-    lines = path.read_text().splitlines()
+def test_compare_outputs_plots_long_format() -> None:
+    def archive() -> EvaluationArchive:
+        a = EvaluationArchive()
+        a.append(np.zeros(3), np.array([0.0, 1.0]), True, 0)
+        a.append(np.ones(3), np.array([1.0, 0.0]), False, 0)
+        return a
+
+    head = {"kind": "compare", "budget": 4, "repetitions": 1, "base_seed": 0,
+            "distinctness": {"mode": "any-difference", "min_vars": 1, "epsilon": 0.0}}
+    runs = [{"algorithm": alg, "repetition": 0, "archive": archive(),
+             "checkpoints": [("g00", 1), ("g01", 2)]} for alg in ("nsga2", "nsga2dt")]
+    texts = _compare_outputs(head, runs)
+    lines = texts["plots.csv"].splitlines()
     assert lines[0] == "algorithm,repetition,evaluations,metric,value"
-    assert lines[1] == "nsga2,0,8,hv,0.5"
-    assert lines[4] == "nsga2,0,8,distinct_critical,2.0"
-    assert len(lines) == 5
+    assert len(lines) == 1 + 2 * 2 * len(METRICS)  # runs x checkpoints x metrics
+    # one long row per metric of each snapshot row, in snapshot order
+    assert [line.split(",")[3] for line in lines[1:5]] == list(METRICS)
+    assert float(lines[1].split(",")[4]) == pytest.approx(1.01 * 0.01)  # hv
+    assert lines[2:5] == ["nsga2,0,1,gd,0.0", "nsga2,0,1,spread,1.0",
+                          "nsga2,0,1,distinct_critical,1.0"]
+    snapshots = texts["snapshots.csv"].splitlines()
+    assert len(snapshots) == 1 + 4
+    for snap, start in zip(snapshots[1:], range(1, len(lines), 4)):
+        values = [float(v) for v in snap.split(",")[3:]]
+        assert [float(line.split(",")[4]) for line in lines[start:start + 4]] == values
 
 
 # ---------- the falsification experiment end to end ----------
@@ -360,6 +423,22 @@ def test_falsify_replay_detects_tampered_stats(falsify_run: tuple[Path, dict],
     # trial logs and per-trial records untouched: only the FR count lies
     _edit_report(copy, lambda r: r["stats"].__setitem__(
         "FR", r["stats"]["FR"] + 1))
+    assert not replay(copy, quiet=True)
+
+
+def test_falsify_replay_detects_tampered_stats_csv(falsify_run: tuple[Path, dict],
+                                                   tmp_path: Path) -> None:
+    out, _ = falsify_run
+    copy = _copy_run(out, tmp_path)
+    _edit_line(copy / "stats.csv", 1, -3, "1")  # FR of the requirement row
+    assert not replay(copy, quiet=True)
+
+
+def test_falsify_replay_detects_tampered_trial_record(falsify_run: tuple[Path, dict],
+                                                      tmp_path: Path) -> None:
+    out, _ = falsify_run
+    copy = _copy_run(out, tmp_path)
+    _edit_report(copy, lambda r: r["trials"][1].__setitem__("seed", 0))
     assert not replay(copy, quiet=True)
 
 
