@@ -1,6 +1,6 @@
 """Search-based scenario testing and surrogate-assisted falsification.
 
-Two complementary pipelines built on the same evaluation bookkeeping:
+Two complementary pipelines:
 
 * multi-objective scenario search over a deterministic car/pedestrian
   simulator, optionally guided by a decision tree that re-focuses the
@@ -10,6 +10,9 @@ Two complementary pipelines built on the same evaluation bookkeeping:
   systems through a cheap auto-regressive surrogate that proposes
   candidates for real simulation
   (:mod:`sasbt.stl`, :mod:`sasbt.arx`, :mod:`sasbt.falsify`).
+
+Scenario search records every simulation in an `EvaluationArchive`;
+falsification keeps one `RoundLog` per real simulation instead.
 
 Quality indicators, experiment drivers and the command line live in
 :mod:`sasbt.indicators`, :mod:`sasbt.harness` and :mod:`sasbt.cli`.

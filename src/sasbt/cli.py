@@ -62,7 +62,6 @@ def _load_config(args, kind: str) -> harness.ExperimentConfig:
         config.base_seed = args.seed
     if args.reps is not None:
         config.repetitions = args.reps
-    config.validate()
     return config
 
 

@@ -81,8 +81,9 @@ def build_signal(param: SignalParam, theta) -> np.ndarray:
     """Expand a control-point vector to the sampled input signal.
 
     Returns (n_samples,) for one channel, else (n_samples, channels).
+    `param` must already be valid (`SignalParam.validate`): this runs once
+    per real or surrogate simulation and does not check it again.
     """
-    param.validate()
     th = np.asarray(theta, dtype=float).reshape(param.control_points, param.channels)
     times = np.arange(param.n_samples) * param.period
     if param.interpolation == "constant" or param.control_points == 1:
@@ -102,6 +103,7 @@ def build_signal(param: SignalParam, theta) -> np.ndarray:
 TANK_DT = 1.0
 TANK_OUTFLOW = 0.4
 TANK_LEVEL0 = 0.0
+BENCHMARK_SYSTEMS = ("lti2", "tank")  # the names benchmark_sut knows
 
 
 def benchmark_sut(name: str, u) -> np.ndarray:
@@ -208,8 +210,7 @@ class FalsifyResult:
 def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
             signal: SignalParam, *, real_budget: int = 300,
             surrogate_budget: int = 300, arx: ArxConfig | None = None,
-            optimizer: str | Callable = "anneal",
-            optimizer_options: dict | None = None,
+            optimizer: str = "anneal",
             n_initial: int = 2, seed: int = 0) -> FalsifyResult:
     """Surrogate-guided falsification of `requirement` on `sut`.
 
@@ -218,7 +219,8 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
     if one already violates).  Every refinement round refits the ARX
     surrogate on all real data, minimizes surrogate robustness with at most
     `surrogate_budget` surrogate simulations, then confirms the single best
-    candidate with one real simulation.
+    candidate with one real simulation.  `optimizer` names an entry of
+    `OPTIMIZERS`.
 
     Returns:
         FalsifyResult; `falsified` is decided only by real robustness < 0
@@ -229,8 +231,7 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
         raise ValueError("real_budget must be >= 1")
     if n_initial < 1:
         raise ValueError("n_initial must be >= 1")
-    opt = OPTIMIZERS[optimizer] if isinstance(optimizer, str) else optimizer
-    options = optimizer_options or {}
+    opt = OPTIMIZERS[optimizer]
     rng = np.random.default_rng(seed)
     space = signal.theta_space()
 
@@ -267,7 +268,7 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
             return robustness(requirement, y_hat, signal.period)
 
         cand, cand_rho, _ = opt(surrogate_rho, space, surrogate_budget, rng,
-                                init=best_theta, **options)
+                                init=best_theta)
         u = build_signal(signal, cand)
         y = sut(u)
         real += 1

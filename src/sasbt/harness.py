@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -27,9 +27,9 @@ from scipy.stats import mannwhitneyu
 
 from . import indicators, scenario
 from .arx import ArxConfig
-from .falsify import (FalsifyResult, RoundLog, SignalParam, benchmark_sut,
-                      falsification_stats, falsify, format_stats_row,
-                      random_baseline)
+from .falsify import (BENCHMARK_SYSTEMS, FalsifyResult, RoundLog, SignalParam,
+                      benchmark_sut, falsification_stats, falsify,
+                      format_stats_row, random_baseline)
 from .guidance import DtConfig, nsga2_dt, stage_checkpoints
 from .search import EvaluationArchive, SearchConfig, evolve
 from .stl import Formula, format_requirement, parse_requirement
@@ -63,6 +63,10 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in text.split(","))
+
+
 class _Cfg:
     """Typed access with consumption tracking so unknown keys are rejected."""
 
@@ -70,42 +74,36 @@ class _Cfg:
         self.raw = raw
         self.used: set[str] = set()
 
-    def _take(self, key: str) -> str | None:
-        if key in self.raw:
-            self.used.add(key)
-            return self.raw[key]
-        return None
-
-    def str_(self, key: str, default: str) -> str:
-        v = self._take(key)
-        return default if v is None else v
-
-    def int_(self, key: str, default: int) -> int:
-        v = self._take(key)
-        if v is None:
+    def get(self, key: str, default):
+        """The value of `key` parsed as the type of `default` (str, int,
+        float, or a tuple of floats of the default's length; a None default
+        reads as float), or `default` when the key is absent."""
+        if key not in self.raw:
             return default
+        self.used.add(key)
+        v = self.raw[key]
+        if isinstance(default, str):
+            return v
+        if isinstance(default, tuple):
+            parse, expected = _floats, "comma-separated numbers"
+        elif isinstance(default, int):
+            parse, expected = int, "integer"
+        else:
+            parse, expected = float, "number"
         try:
-            return int(v)
+            value = parse(v)
         except ValueError as exc:
-            raise ConfigError(f"{key}: expected integer, got {v!r}") from exc
+            raise ConfigError(f"{key}: expected {expected}, got {v!r}") from exc
+        if isinstance(default, tuple) and len(value) != len(default):
+            count = {2: "two", 4: "four"}.get(len(default), str(len(default)))
+            raise ConfigError(f"{key} needs {count} numbers, got {v!r}")
+        return value
 
-    def float_(self, key: str, default: float) -> float:
-        v = self._take(key)
-        if v is None:
-            return default
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected number, got {v!r}") from exc
-
-    def floats_(self, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-        v = self._take(key)
-        if v is None:
-            return default
-        try:
-            return tuple(float(p) for p in v.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected comma-separated numbers, got {v!r}") from exc
+    def section(self, prefix: str, base, **fixed):
+        """`base` with every field not in `fixed` read from `prefix + field`."""
+        return replace(base, **fixed, **{
+            f.name: self.get(prefix + f.name, getattr(base, f.name))
+            for f in fields(base) if f.name not in fixed})
 
     def reject_unknown(self) -> None:
         unknown = sorted(set(self.raw) - self.used)
@@ -178,111 +176,43 @@ class ExperimentConfig:
             raise ConfigError(f"unknown falsification method: {self.method!r}")
         if self.n_initial < 1:
             raise ConfigError("n_initial must be >= 1")
-        benchmark_sut(self.system, np.zeros(3))  # rejects unknown system names
+        if self.system not in BENCHMARK_SYSTEMS:
+            raise ConfigError(f"unknown benchmark system: {self.system!r}")
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
+        """Read `experiment.*` and the sections of the experiment's kind; a
+        section key is the field name of its dataclass."""
         cfg = _Cfg(parse_config_text(text))
-        kind = cfg.str_("experiment.kind", "compare")
+        kind = cfg.get("experiment.kind", "compare")
+        if kind not in ("compare", "falsify"):
+            raise ConfigError(f"unknown experiment kind: {kind!r}")
         self = cls(kind=kind)
-        self.budget = cfg.int_("experiment.budget", self.budget)
-        self.repetitions = cfg.int_("experiment.repetitions", self.repetitions)
-        self.base_seed = cfg.int_("experiment.base_seed", self.base_seed)
-
-        d = scenario.SimConfig()
-        bounds = (cfg.floats_("sim.bounds_v0c", d.input_bounds[0]),
-                  cfg.floats_("sim.bounds_v0p", d.input_bounds[1]),
-                  cfg.floats_("sim.bounds_t_wait", d.input_bounds[2]))
-        for b in bounds:
-            if len(b) != 2:
-                raise ConfigError("sim bounds need exactly two numbers (low, high)")
-        occluder = cfg.floats_("sim.occluder", d.occluder)
-        if len(occluder) != 4:
-            raise ConfigError("sim.occluder needs four numbers (x0, y0, x1, y1)")
-        ped_start = cfg.floats_("sim.ped_start", d.ped_start)
-        if len(ped_start) != 2:
-            raise ConfigError("sim.ped_start needs two numbers (x, y)")
-        self.sim = scenario.SimConfig(
-            dt=cfg.float_("sim.dt", d.dt),
-            horizon=cfg.float_("sim.horizon", d.horizon),
-            ego_length=cfg.float_("sim.ego_length", d.ego_length),
-            ego_width=cfg.float_("sim.ego_width", d.ego_width),
-            spot_x=cfg.float_("sim.spot_x", d.spot_x),
-            comfort_decel=cfg.float_("sim.comfort_decel", d.comfort_decel),
-            max_decel=cfg.float_("sim.max_decel", d.max_decel),
-            occluder=occluder,
-            ped_start=ped_start,
-            sensor_range=cfg.float_("sim.sensor_range", d.sensor_range),
-            sensor_half_angle=cfg.float_("sim.sensor_half_angle", d.sensor_half_angle),
-            corridor_half_width=cfg.float_("sim.corridor_half_width",
-                                           d.corridor_half_width),
-            brake_margin=cfg.float_("sim.brake_margin", d.brake_margin),
-            theta1=cfg.float_("sim.theta1", d.theta1),
-            theta2=cfg.float_("sim.theta2", d.theta2),
-            input_bounds=bounds,
-        )
-
-        s = SearchConfig()
-        self.search = SearchConfig(
-            population=cfg.int_("search.population", s.population),
-            generations=0,  # derived from the budget at run time
-            crossover_prob=cfg.float_("search.crossover_prob", s.crossover_prob),
-            crossover_index=cfg.float_("search.crossover_index", s.crossover_index),
-            mutation_prob=cfg.float_("search.mutation_prob", s.mutation_prob),
-            mutation_index=cfg.float_("search.mutation_index", s.mutation_index),
-        )
-
-        g = DtConfig()
-        self.dt = DtConfig(
-            budget=self.budget,
-            initial_lhs=cfg.int_("dt.initial_lhs", g.initial_lhs),
-            region_threshold=cfg.float_("dt.region_threshold", g.region_threshold),
-            max_depth=cfg.int_("dt.max_depth", g.max_depth),
-            min_samples_leaf=cfg.int_("dt.min_samples_leaf", g.min_samples_leaf),
-            search=SearchConfig(
-                population=cfg.int_("dt.population", g.search.population),
-                generations=cfg.int_("dt.generations", g.search.generations),
-                crossover_prob=self.search.crossover_prob,
-                crossover_index=self.search.crossover_index,
-                mutation_prob=self.search.mutation_prob,
-                mutation_index=self.search.mutation_index,
-            ),
-        )
-
-        dist = indicators.DistinctnessPolicy()
-        self.policy = indicators.DistinctnessPolicy(
-            mode=cfg.str_("distinct.mode", dist.mode),
-            min_vars=cfg.int_("distinct.min_vars", dist.min_vars),
-            epsilon=cfg.float_("distinct.epsilon", dist.epsilon),
-        )
-
-        self.system = cfg.str_("falsify.system", self.system)
-        req = cfg._take("falsify.requirement")
-        if req is not None:
-            try:
-                self.requirement = parse_requirement(req)
-            except ValueError as exc:
-                raise ConfigError(f"falsify.requirement: {exc}") from exc
-        self.real_budget = cfg.int_("falsify.real_budget", self.real_budget)
-        self.surrogate_budget = cfg.int_("falsify.surrogate_budget",
-                                         self.surrogate_budget)
-        self.method = cfg.str_("falsify.method", self.method)
-        self.n_initial = cfg.int_("falsify.n_initial", self.n_initial)
-        a = ArxConfig()
-        self.arx = ArxConfig(na=cfg.int_("falsify.arx_na", a.na),
-                             nb=cfg.int_("falsify.arx_nb", a.nb),
-                             nk=cfg.int_("falsify.arx_nk", a.nk))
-
-        p = SignalParam()
-        self.signal = SignalParam(
-            control_points=cfg.int_("signal.control_points", p.control_points),
-            interpolation=cfg.str_("signal.interpolation", p.interpolation),
-            lower=cfg.float_("signal.lower", p.lower),
-            upper=cfg.float_("signal.upper", p.upper),
-            horizon=cfg.float_("signal.horizon", p.horizon),
-            period=cfg.float_("signal.period", p.period),
-            channels=cfg.int_("signal.channels", p.channels),
-        )
+        for name in ("budget", "repetitions", "base_seed"):
+            setattr(self, name, cfg.get("experiment." + name, getattr(self, name)))
+        if kind == "compare":
+            self.sim = cfg.section("sim.", self.sim, input_bounds=tuple(
+                cfg.get("sim.bounds_" + name, bounds)
+                for name, bounds in zip(scenario.INPUT_NAMES, self.sim.input_bounds)))
+            # generations derive from the budget and seeds from the repetition
+            self.search = cfg.section("search.", self.search, generations=0, seed=0)
+            self.dt = cfg.section("dt.", self.dt, budget=self.budget, seed=0, search=replace(
+                self.search,
+                population=cfg.get("dt.population", self.dt.search.population),
+                generations=cfg.get("dt.generations", self.dt.search.generations)))
+            self.policy = cfg.section("distinct.", self.policy)
+        else:
+            for name in ("system", "real_budget", "surrogate_budget", "method",
+                         "n_initial"):
+                setattr(self, name, cfg.get("falsify." + name, getattr(self, name)))
+            req = cfg.get("falsify.requirement", "")
+            if req:
+                try:
+                    self.requirement = parse_requirement(req)
+                except ValueError as exc:
+                    raise ConfigError(f"falsify.requirement: {exc}") from exc
+            self.arx = cfg.section("falsify.arx_", self.arx)
+            self.signal = cfg.section("signal.", self.signal)
         cfg.reject_unknown()
         self.validate()
         return self

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sasbt import cli
+from sasbt import cli, harness
 from sasbt.harness import (
     METRICS,
     ConfigError,
@@ -111,6 +111,64 @@ def test_unknown_keys_are_rejected() -> None:
         ExperimentConfig.from_text("experiment.sim_cost_s = 2.5\n")
 
 
+EXPERIMENT_KEYS = {"experiment.budget", "experiment.repetitions", "experiment.base_seed"}
+COMPARE_KEYS = EXPERIMENT_KEYS | {
+    *(f"sim.{name}" for name in (
+        "dt", "horizon", "ego_length", "ego_width", "spot_x", "comfort_decel",
+        "max_decel", "occluder", "ped_start", "sensor_range", "sensor_half_angle",
+        "corridor_half_width", "brake_margin", "theta1", "theta2",
+        "bounds_v0c", "bounds_v0p", "bounds_t_wait")),
+    *(f"search.{name}" for name in (
+        "population", "crossover_prob", "crossover_index", "mutation_prob",
+        "mutation_index")),
+    *(f"dt.{name}" for name in (
+        "initial_lhs", "region_threshold", "max_depth", "min_samples_leaf",
+        "population", "generations")),
+    "distinct.mode", "distinct.min_vars", "distinct.epsilon",
+}
+FALSIFY_KEYS = EXPERIMENT_KEYS | {
+    *(f"falsify.{name}" for name in (
+        "system", "requirement", "real_budget", "surrogate_budget", "method",
+        "n_initial", "arx_na", "arx_nb", "arx_nk")),
+    *(f"signal.{name}" for name in (
+        "control_points", "interpolation", "lower", "upper", "horizon", "period",
+        "channels")),
+}
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("experiment.kind = compare\n", COMPARE_KEYS),
+    ("experiment.kind = falsify\nfalsify.requirement = y0 <= 1\n", FALSIFY_KEYS),
+], ids=["compare", "falsify"])
+def test_each_kind_reads_exactly_its_keys(monkeypatch, text: str,
+                                          expected: set[str]) -> None:
+    assert (len(COMPARE_KEYS), len(FALSIFY_KEYS)) == (35, 19)
+    read: set[str] = set()
+    get = harness._Cfg.get
+
+    def spy(self, key, default):
+        read.add(key)
+        return get(self, key, default)
+
+    monkeypatch.setattr(harness._Cfg, "get", spy)
+    ExperimentConfig.from_text(text)
+    assert read == expected | {"experiment.kind"}
+
+
+@pytest.mark.parametrize("kind, key", [
+    # keys of the other kind's sections
+    ("compare", "signal.horizon"), ("compare", "falsify.system"),
+    ("falsify", "sim.dt"), ("falsify", "search.population"),
+    # fields that are fixed by the harness, not read from the config
+    *(("compare", key) for key in ("search.generations", "search.seed", "dt.budget",
+                                   "dt.seed", "dt.search", "sim.input_bounds")),
+])
+def test_keys_outside_the_kind_schema_are_rejected(kind: str, key: str) -> None:
+    text = {"compare": COMPARE_TEXT, "falsify": FALSIFY_TEXT}[kind]
+    with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+        ExperimentConfig.from_text(f"{text}{key} = 1\n")
+
+
 def test_inconsistent_budgets_are_rejected() -> None:
     with pytest.raises(ConfigError, match="not a multiple"):
         ExperimentConfig.from_text(
@@ -129,8 +187,14 @@ def test_bad_values_are_rejected() -> None:
         ExperimentConfig.from_text("sim.bounds_v0c = 1,2,3\n")
     with pytest.raises(ConfigError, match="four numbers"):
         ExperimentConfig.from_text("sim.occluder = 1,2\n")
+    with pytest.raises(ConfigError, match="expected number"):
+        ExperimentConfig.from_text("sim.dt = fast\n")
+    with pytest.raises(ConfigError, match="expected comma-separated numbers"):
+        ExperimentConfig.from_text("sim.ped_start = 23,north\n")
     with pytest.raises(ConfigError, match="unknown experiment kind"):
         ExperimentConfig.from_text("experiment.kind = race\n")
+    with pytest.raises(ConfigError, match="unknown experiment kind"):
+        ExperimentConfig.from_text("experiment.kind = race\nsim.dt = 0.01\n")
     with pytest.raises(ConfigError, match="repetitions"):
         ExperimentConfig.from_text("experiment.repetitions = 0\n")
 
