@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+import scipy  # submodules load on first use, keeping `import sasbt` cheap
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def simulate_arx(model: ArxModel, u) -> np.ndarray:
         num = np.concatenate((np.zeros(nk), b[0]))
         if num.size == 0:
             num = np.zeros(1)
-        y = lfilter(num, den, arr[:, 0])
+        y = scipy.signal.lfilter(num, den, arr[:, 0])
         return y if squeeze else y[:, None]
     y = np.zeros((n, model.ny))
     for k in range(n):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy  # submodules load on first use, keeping `import sasbt` cheap
 
 from .arx import ArxConfig, ArxModel, fit_arx, simulate_arx
 from .search import SearchSpace, lhs_sample
@@ -118,8 +119,7 @@ def benchmark_sut(name: str, u) -> np.ndarray:
     if u.ndim != 1:
         raise ValueError("benchmark systems are single-input (1-D signal)")
     if name == "lti2":
-        from scipy.signal import lfilter
-        return lfilter([0.0, 1.0, 0.3], [1.0, -0.5, -0.2], u)
+        return scipy.signal.lfilter([0.0, 1.0, 0.3], [1.0, -0.5, -0.2], u)
     if name == "tank":
         y = np.empty_like(u)
         x = TANK_LEVEL0

@@ -241,19 +241,21 @@ class DtResult:
 
 def _seed_individuals(archive: EvaluationArchive, region: CriticalRegion,
                       limit: int) -> list[Individual]:
-    inside = [i for i, g in enumerate(archive.genomes) if region.contains(g)]
-    if not inside:
+    """Up to `limit` archive members inside the region's closed box, by
+    non-domination rank and then by archive row."""
+    genomes = archive.genome_array()
+    inside = np.flatnonzero(np.all((genomes >= region.lower)
+                                   & (genomes <= region.upper), axis=1))
+    if inside.size == 0:
         return []
-    objs = np.asarray([archive.objectives[i] for i in inside])
-    ranks = np.empty(len(inside), dtype=int)
-    for rank, front in enumerate(non_dominated_sort(objs)):
+    ranks = np.empty(inside.size, dtype=int)
+    for rank, front in enumerate(non_dominated_sort(archive.objective_array()[inside])):
         ranks[front] = rank
-    order = sorted(range(len(inside)), key=lambda j: (ranks[j], inside[j]))
-    picked = [inside[j] for j in order[:limit]]
+    picked = inside[np.argsort(ranks, kind="stable")[:limit]]
     return [Individual(genome=archive.genomes[i].copy(),
                        objectives=archive.objectives[i].copy(),
                        critical=archive.critical[i],
-                       eval_index=i) for i in picked]
+                       eval_index=int(i)) for i in picked]
 
 
 def stage_checkpoints(stages: list[StageRecord]) -> list[tuple[str, int]]:

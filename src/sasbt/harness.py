@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import mannwhitneyu
+import scipy  # submodules load on first use, keeping `import sasbt` cheap
 
 from . import indicators, scenario
 from .arx import ArxConfig
@@ -248,7 +248,7 @@ def _compare_aggregate(tagged: list[tuple[str, dict]], quarter: int) -> dict:
     med_guided = float(np.median(guided))
     ratio = med_guided / med_plain if med_plain > 0 else None
     if len(plain) >= 2 and (np.ptp(plain + guided) > 0):
-        pvalue = float(mannwhitneyu(guided, plain, alternative="two-sided").pvalue)
+        pvalue = float(scipy.stats.mannwhitneyu(guided, plain, alternative="two-sided").pvalue)
     else:
         pvalue = None
     return {

@@ -14,6 +14,12 @@ so a given input always produces the identical trace.  Two fitnesses grade a
 trace: f1 = minimum distance from the pedestrian to the ego front-bumper
 segment over the run, f2 = ego speed at the (earliest) sample achieving that
 minimum.  A scenario is critical when f1 <= theta1 and f2 >= theta2.
+
+Two paths compute that fitness.  `evaluate_input` is the exact
+fitness-only path the searches call: it integrates the run in segments of
+constant deceleration and records no trace.  `simulate` steps the Euler loop
+sample by sample and returns the full trace for export; with `fitness` it is
+the reference oracle that `evaluate_input` matches bit for bit.
 """
 
 from __future__ import annotations
@@ -155,6 +161,16 @@ def _check_bounds(inp: ScenarioInput, cfg: SimConfig) -> None:
             raise ValueError(f"{name}={value} outside bounds [{lo}, {hi}]")
 
 
+def _n_steps(inp: ScenarioInput, cfg: SimConfig) -> int:
+    """Validate the configuration and the input; the number of Euler steps."""
+    cfg.validate()
+    _check_bounds(inp, cfg)
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    if n_steps < 1 or abs(n_steps * cfg.dt - cfg.horizon) > 1e-9 * max(1.0, cfg.horizon):
+        raise ValueError(f"horizon {cfg.horizon} is not a multiple of dt {cfg.dt}")
+    return n_steps
+
+
 def simulate(inp: ScenarioInput, cfg: SimConfig | None = None) -> SimulationTrace:
     """Run the scenario for the full horizon (never truncated early).
 
@@ -170,12 +186,7 @@ def simulate(inp: ScenarioInput, cfg: SimConfig | None = None) -> SimulationTrac
             or invalid configuration.
     """
     cfg = cfg or SimConfig()
-    cfg.validate()
-    _check_bounds(inp, cfg)
-
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - cfg.horizon) > 1e-9 * max(1.0, cfg.horizon):
-        raise ValueError(f"horizon {cfg.horizon} is not a multiple of dt {cfg.dt}")
+    n_steps = _n_steps(inp, cfg)
     tan_half = math.tan(cfg.sensor_half_angle)
     half_corridor = cfg.corridor_half_width
     px0, py0 = cfg.ped_start
@@ -244,16 +255,89 @@ def fitness(trace: SimulationTrace, cfg: SimConfig | None = None) -> FitnessVect
     well defined even for flat minima.
     """
     cfg = cfg or SimConfig()
-    d = bumper_distances(trace, cfg)
+    return _grade(bumper_distances(trace, cfg), trace.ego_v, cfg)
+
+
+def _grade(d: np.ndarray, ego_v: np.ndarray, cfg: SimConfig) -> FitnessVector:
     i = int(np.argmin(d))  # argmin returns the first occurrence
     f1 = float(d[i])
-    f2 = float(trace.ego_v[i])
+    f2 = float(ego_v[i])
     return FitnessVector(f1=f1, f2=f2, critical=f1 <= cfg.theta1 and f2 >= cfg.theta2)
 
 
 def evaluate_input(inp: ScenarioInput, cfg: SimConfig | None = None) -> FitnessVector:
+    """Fitness of one run, bit-identical to fitness(simulate(inp, cfg), cfg).
+
+    Only the ego x, ego speed and pedestrian y samples are computed.  The
+    run splits into segments of constant deceleration (cruise, comfort or
+    emergency); each is integrated with `np.subtract.accumulate` /
+    `np.add.accumulate`, which add strictly in sequence and so reproduce
+    the Euler loop of `simulate` bit for bit.  A segment ends at the first
+    later step whose deceleration choice differs: the comfort test flips,
+    or a pedestrian inside the corridor and the braking envelope is
+    detected.  `_detects` runs only on such envelope steps, in order, and
+    never after the emergency latch.
+
+    Raises:
+        ValueError: as `simulate`.
+    """
     cfg = cfg or SimConfig()
-    return fitness(simulate(inp, cfg), cfg)
+    n = _n_steps(inp, cfg)
+    dt = cfg.dt
+    tan_half = math.tan(cfg.sensor_half_angle)
+    px0, py0 = cfg.ped_start
+    t = np.arange(n + 1) * dt
+    ped_y = np.where(t > inp.t_wait, py0 - inp.v0p * (t - inp.t_wait), py0)
+    in_corridor = np.abs(ped_y) <= cfg.corridor_half_width
+    ego_x = np.empty(n + 1)
+    ego_v = np.empty(n + 1)
+
+    k, x, v, emergency = 0, 0.0, inp.v0c, False
+    while True:
+        # the deceleration for [t_k, t_k + dt), chosen exactly as in simulate
+        if (not emergency and in_corridor[k]
+                and 0.0 <= px0 - x <= v * v / (2.0 * cfg.max_decel) + cfg.brake_margin
+                and _detects(x, 0.0, px0, float(ped_y[k]), cfg, tan_half)):
+            emergency = True
+        if emergency:
+            a = cfg.max_decel
+        else:
+            comfort = cfg.spot_x - x <= v * v / (2.0 * cfg.comfort_decel)
+            a = cfg.comfort_decel if comfort else 0.0
+        # hold it to the horizon: v_{j+1} = max(0, v_j - a dt), x_{j+1} = x_j + v_j dt
+        steps = np.full(n - k + 1, a * dt)
+        steps[0] = v
+        raw = np.subtract.accumulate(steps)
+        vs = np.where(raw > 0.0, raw, 0.0)  # max(0.0, .) maps -0.0 to 0.0 too
+        vs[0] = v  # the segment's first sample is recorded unclamped
+        xs = np.empty_like(vs)
+        xs[0] = x
+        np.multiply(vs[:-1], dt, out=xs[1:])
+        np.add.accumulate(xs, out=xs)
+        cut = n - k  # segment length in steps; the horizon by default
+        if not emergency and cut > 1:
+            xj, vj = xs[1:-1], vs[1:-1]  # later steps that choose a deceleration
+            flips = np.flatnonzero((cfg.spot_x - xj <= vj * vj / (2.0 * cfg.comfort_decel))
+                                   != comfort)
+            if flips.size:
+                cut = int(flips[0]) + 1
+            gap = px0 - xj[:cut - 1]
+            envelope = (in_corridor[k + 1:k + cut] & (gap >= 0.0)
+                        & (gap <= vj[:cut - 1] * vj[:cut - 1] / (2.0 * cfg.max_decel)
+                           + cfg.brake_margin))
+            for j in np.flatnonzero(envelope) + 1:
+                if _detects(float(xs[j]), 0.0, px0, float(ped_y[k + j]), cfg, tan_half):
+                    cut = int(j)
+                    break
+        ego_x[k:k + cut + 1] = xs[:cut + 1]
+        ego_v[k:k + cut + 1] = vs[:cut + 1]
+        k += cut
+        if k == n:
+            break
+        x, v = float(xs[cut]), float(vs[cut])
+
+    d = np.hypot(px0 - ego_x, np.maximum(np.abs(ped_y) - cfg.ego_width / 2.0, 0.0))
+    return _grade(d, ego_v, cfg)
 
 
 def search_space(cfg: SimConfig | None = None) -> SearchSpace:

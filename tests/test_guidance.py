@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from sasbt.guidance import (CriticalRegion, DtConfig, TreeNode, _best_split,
+                            _seed_individuals,
                             extract_regions, fit_tree, leaf_boxes, nsga2_dt,
                             predict_critical, self_referenced_snapshots,
                             stage_checkpoints)
-from sasbt.search import SearchConfig, SearchSpace
+from sasbt.search import (EvaluationArchive, SearchConfig, SearchSpace,
+                          non_dominated_sort)
 
 
 def gini_weighted(y_left, y_right) -> float:
@@ -165,6 +167,40 @@ def test_region_contains_and_space():
     sub = region.as_space(("a", "b"))
     np.testing.assert_array_equal(sub.lower, [0.0, 1.0])
     assert sub.names == ("a", "b")
+
+
+def _seed_reference(archive, region, limit):
+    """Row-by-row seeding: members in the box by (rank, archive row)."""
+    inside = [i for i, g in enumerate(archive.genomes) if region.contains(g)]
+    if not inside:
+        return []
+    objs = np.asarray([archive.objectives[i] for i in inside])
+    ranks = np.empty(len(inside), dtype=int)
+    for rank, front in enumerate(non_dominated_sort(objs)):
+        ranks[front] = rank
+    order = sorted(range(len(inside)), key=lambda j: (ranks[j], inside[j]))
+    return [inside[j] for j in order[:limit]]
+
+
+def test_seed_individuals_match_row_by_row_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        archive = EvaluationArchive()
+        grid = np.linspace(0.0, 1.0, 5)  # genomes land exactly on box bounds
+        for _ in range(int(rng.integers(1, 120))):
+            genome = rng.choice(grid, size=3) if rng.random() < 0.5 else rng.random(3)
+            objectives = rng.integers(0, 4, size=2).astype(float)  # rank ties
+            archive.append(genome, objectives, bool(rng.random() < 0.3), 0)
+        lo = rng.choice(grid[:3], size=3)
+        region = CriticalRegion(lower=lo, upper=lo + rng.choice(grid[1:3], size=3),
+                                n_critical=1, n_total=2)
+        limit = int(rng.integers(1, 15))
+        seeds = _seed_individuals(archive, region, limit)
+        assert [s.eval_index for s in seeds] == _seed_reference(archive, region, limit)
+        for s in seeds:
+            np.testing.assert_array_equal(s.genome, archive.genomes[s.eval_index])
+            np.testing.assert_array_equal(s.objectives, archive.objectives[s.eval_index])
+            assert s.critical == archive.critical[s.eval_index]
 
 
 # ---------- the guided loop on a synthetic box problem ----------

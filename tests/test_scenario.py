@@ -1,12 +1,17 @@
 """Simulator checks: exact Euler kinematics in event-free regimes, an
 independent sampling oracle for the occlusion geometry, crafted exact-hit
-configurations, and input validation."""
+configurations, input validation, and the fitness-only evaluator against
+the traced simulation as its oracle."""
 
+import itertools
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sasbt.scenario import (DEFAULT_INPUT_BOUNDS, FitnessVector, ScenarioInput,
                             SimConfig, SimulationTrace, _segment_crosses_rect,
@@ -262,3 +267,142 @@ def test_trace_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,ego_x,ego_y,ego_v,ped_x,ped_y,detected"
     assert len(lines) == 1 + len(trace)
+
+
+# ---------- fitness-only evaluator against the traced oracle ----------
+
+
+def _bits(fv: FitnessVector) -> tuple:
+    """f1 and f2 as their IEEE bytes (so 0.0 and -0.0 differ), and the flag."""
+    return struct.pack("<d", fv.f1), struct.pack("<d", fv.f2), fv.critical
+
+
+def assert_matches_oracle(inp: ScenarioInput, cfg: SimConfig) -> SimulationTrace:
+    trace = simulate(inp, cfg)
+    assert _bits(evaluate_input(inp, cfg)) == _bits(fitness(trace, cfg))
+    return trace
+
+
+def _phases(trace: SimulationTrace, cfg: SimConfig) -> list[str]:
+    """Deceleration regimes of a trace while moving, in order (the oracle's
+    view of the segments the evaluator must reproduce)."""
+    a = (trace.ego_v[:-1] - trace.ego_v[1:]) / cfg.dt
+    a = a[trace.ego_v[1:] > 0.0]
+    names = np.where(np.isclose(a, 0.0), "cruise",
+                     np.where(np.isclose(a, cfg.comfort_decel), "comfort",
+                              np.where(np.isclose(a, cfg.max_decel), "emergency", "?")))
+    return [name for name, _ in itertools.groupby(names.tolist())]
+
+
+@st.composite
+def sim_configs(draw) -> SimConfig:
+    dt = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1, 1 / 128]))
+    return SimConfig(
+        dt=dt,
+        horizon=dt * draw(st.integers(1, 1200)),
+        comfort_decel=draw(st.floats(0.5, 8.0)),
+        max_decel=draw(st.floats(0.5, 10.0)),
+        spot_x=draw(st.floats(0.0, 80.0)),
+        brake_margin=draw(st.floats(0.0, 5.0)),
+        corridor_half_width=draw(st.floats(0.1, 3.0)),
+        sensor_range=draw(st.floats(1.0, 40.0)),
+        sensor_half_angle=draw(st.floats(0.05, 1.5)),
+        ped_start=(draw(st.floats(5.0, 40.0)), draw(st.floats(-1.0, 6.0))),
+        input_bounds=((0.0, 15.0), (0.0, 4.0), (0.0, 10.0)))
+
+
+def _inputs(cfg: SimConfig):
+    return st.builds(ScenarioInput, *(st.floats(lo, hi) for lo, hi in cfg.input_bounds))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_evaluate_input_matches_simulate_on_random_configs(data):
+    cfg = data.draw(sim_configs())
+    inp = data.draw(_inputs(cfg))
+    assert_matches_oracle(inp, cfg)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_inputs(SimConfig()))
+def test_evaluate_input_matches_simulate_on_default_config(inp):
+    assert_matches_oracle(inp, SimConfig())
+
+
+def test_evaluate_input_matches_simulate_at_bound_corners():
+    cfg = SimConfig()
+    for corner in itertools.product(*cfg.input_bounds):
+        assert_matches_oracle(ScenarioInput(*corner), cfg)
+
+
+def test_evaluate_input_emergency_latch():
+    cfg = wide_bounds(spot_x=1000.0, occluder=(900.0, 1.0, 901.0, 2.0),
+                      ped_start=(15.0, 0.5), brake_margin=2.0)
+    trace = assert_matches_oracle(ScenarioInput(5.0, 0.1, 50.0), cfg)
+    assert _phases(trace, cfg) == ["cruise", "emergency"]
+    assert trace.ego_v[-1] == 0.0
+
+
+def test_evaluate_input_comfort_stop_short_of_crossing():
+    # Euler steps overshoot the continuous stopping distance (a left sum of
+    # a falling speed), so a comfort stop ends just past spot_x; a spot
+    # before the crossing line makes the ego stop short of the pedestrian
+    cfg = wide_bounds(spot_x=15.0)
+    trace = assert_matches_oracle(ScenarioInput(6.0, 1.0, 0.0), cfg)
+    assert _phases(trace, cfg) == ["cruise", "comfort"]
+    assert trace.ego_v[-1] == 0.0
+    assert cfg.spot_x < trace.ego_x[-1] < cfg.ped_start[0]
+
+
+def test_evaluate_input_horizon_ends_mid_braking_short_of_spot():
+    cfg = wide_bounds(spot_x=45.0, horizon=4.0)
+    trace = assert_matches_oracle(ScenarioInput(10.0, 1.0, 50.0), cfg)
+    assert _phases(trace, cfg) == ["cruise", "comfort"]
+    assert trace.ego_v[-1] > 0.0
+    assert trace.ego_x[-1] < cfg.spot_x
+
+
+def test_evaluate_input_pedestrian_never_in_corridor():
+    trace = assert_matches_oracle(WAITING, wide_bounds())
+    assert (np.abs(trace.ped_y) > SimConfig().corridor_half_width).all()
+
+
+def test_evaluate_input_cruise_comfort_emergency():
+    cfg = SimConfig()
+    trace = assert_matches_oracle(ScenarioInput(12.0, 2.0, 0.0), cfg)
+    assert _phases(trace, cfg) == ["cruise", "comfort", "emergency"]
+
+
+def test_evaluate_input_undetected_pedestrian_inside_envelope():
+    # inside the corridor and the braking envelope from k = 0 but out of
+    # sensor range: no latch until the ego closes to sensor range
+    cfg = wide_bounds(spot_x=1000.0, sensor_range=5.0, brake_margin=20.0,
+                      ped_start=(15.0, 0.5))
+    trace = assert_matches_oracle(ScenarioInput(5.0, 0.1, 50.0), cfg)
+    assert not trace.detected[0]
+    assert _phases(trace, cfg) == ["cruise", "emergency"]
+
+
+def test_evaluate_input_latches_on_exact_coincidence():
+    # a blind ego sees only a pedestrian it exactly reaches (gap == 0): the
+    # dyadic step lands on x = 15 and latches the emergency brake there; f1
+    # is 0 at that sample, so the latch cannot change the fitness
+    cfg = wide_bounds(dt=1 / 128, spot_x=1000.0, sensor_range=1e-9,
+                      ped_start=(15.0, 0.0))
+    trace = assert_matches_oracle(ScenarioInput(4.0, 0.1, 50.0), cfg)
+    assert np.flatnonzero(trace.detected).tolist() == [480]
+    assert _phases(trace, cfg) == ["cruise", "emergency"]
+
+
+def test_evaluate_input_keeps_signed_zero_speed():
+    # simulate records v0c = -0.0 at k = 0 and clamps later samples to +0.0
+    cfg = SimConfig(spot_x=1000.0, input_bounds=((0.0, 1.0), (0.1, 1.0), (0.0, 50.0)))
+    for inp in (ScenarioInput(-0.0, 0.5, 0.0), ScenarioInput(0.0, 0.5, 0.0)):
+        assert_matches_oracle(inp, cfg)
+
+
+def test_evaluate_input_validates_like_simulate():
+    with pytest.raises(ValueError, match="v0c"):
+        evaluate_input(ScenarioInput(0.5, 1.0, 2.0))
+    with pytest.raises(ValueError, match="horizon"):
+        evaluate_input(ScenarioInput(5.0, 1.0, 2.0), replace(SimConfig(), horizon=0.005))
