@@ -35,7 +35,8 @@ from .scenario import (FitnessVector, ScenarioInput, SimConfig,
 from .search import (EvaluationArchive, SearchConfig, SearchSpace,
                      crowding_distance, evolve, lhs_sample,
                      non_dominated_sort)
-from .stl import Formula, format_requirement, parse_requirement, robustness
+from .stl import (Formula, compile_requirement, format_requirement,
+                  parse_requirement, robustness)
 
 __version__ = "0.1.0"
 
@@ -45,7 +46,7 @@ __all__ = [
     "ExperimentConfig", "FalsificationStats", "FalsifyResult",
     "FitnessVector", "Formula", "ScenarioInput", "SearchConfig",
     "SearchSpace", "SignalParam", "SimConfig", "SimulationTrace",
-    "benchmark_sut", "build_signal", "crowding_distance",
+    "benchmark_sut", "build_signal", "compile_requirement", "crowding_distance",
     "distinct_critical", "evaluate_input", "evolve", "extract_regions",
     "falsification_stats", "falsify", "fit_arx", "fit_tree", "fitness",
     "format_requirement", "generational_distance", "hypervolume",

@@ -96,6 +96,13 @@ class ArxModel:
         a, b = self.split_coefficients(0)
         return a[0], b[0]
 
+    def siso_filter(self) -> tuple[np.ndarray, np.ndarray]:
+        """(num, den) of `scipy.signal.lfilter` that free-runs this SISO
+        model: den = [1, -a], num = nk zeros then b (one zero when empty)."""
+        a, b = self.siso_coefficients()
+        num = np.concatenate((np.zeros(int(self.nk[0, 0])), b))
+        return (num if num.size else np.zeros(1)), np.concatenate(([1.0], -a))
+
 
 def _row_start(na: np.ndarray, nb: np.ndarray, nk: np.ndarray, i: int) -> int:
     lags = [int(v) for v in na[i]]
@@ -184,13 +191,7 @@ def simulate_arx(model: ArxModel, u) -> np.ndarray:
         raise ValueError(f"input has {arr.shape[1]} channels, model expects {model.nu}")
     n = arr.shape[0]
     if model.ny == 1 and model.nu == 1:
-        a, b = model.split_coefficients(0)
-        nk = int(model.nk[0, 0])
-        den = np.concatenate(([1.0], -a[0]))
-        num = np.concatenate((np.zeros(nk), b[0]))
-        if num.size == 0:
-            num = np.zeros(1)
-        y = scipy.signal.lfilter(num, den, arr[:, 0])
+        y = scipy.signal.lfilter(*model.siso_filter(), arr[:, 0])
         return y if squeeze else y[:, None]
     y = np.zeros((n, model.ny))
     for k in range(n):

@@ -7,6 +7,14 @@ candidate on the real system.  Only real simulations count against the
 falsification budget; a trial succeeds the moment a real run has negative
 robustness.
 
+The surrogate pays off only if a surrogate call is far cheaper than a real
+one, so nothing fixed is rebuilt per call: each trial compiles the
+requirement (`stl.compile_requirement`) and the signal's sample grid
+(`SignalParam.sample_index`) once, and each round the fitted model's
+filter coefficients (`ArxModel.siso_filter`).  A surrogate call is then
+one gather, one `lfilter` and one compiled robustness evaluation
+(`surrogate_objective`).  Falsification is single-input, single-output.
+
 Also provides the parametric input-signal encoding shared by every system
 under test, two built-in benchmark systems, a pure-random baseline, and the
 FR / mean / median trial statistics table.
@@ -16,14 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy  # submodules load on first use, keeping `import sasbt` cheap
 
-from .arx import ArxConfig, ArxModel, fit_arx, simulate_arx
+from .arx import ArxConfig, ArxModel, fit_arx
 from .search import SearchSpace, lhs_sample
-from .stl import Formula, robustness
+from .stl import Formula, compile_requirement, robustness
 
 # ---------- input signals ----------
 
@@ -67,6 +76,26 @@ class SignalParam:
         return int(round(self.horizon / self.period)) + 1
 
     @property
+    def holds_points(self) -> bool:
+        """True when every sample holds one control point's value."""
+        return self.interpolation == "constant" or self.control_points == 1
+
+    @cached_property
+    def sample_times(self) -> np.ndarray:
+        times = np.arange(self.n_samples) * self.period
+        times.flags.writeable = False  # shared by every call: never mutated
+        return times
+
+    @cached_property
+    def sample_index(self) -> np.ndarray:
+        """Control point held at each sample (for `holds_points` signals)."""
+        seg = np.minimum(
+            (self.sample_times * self.control_points / self.horizon + 1e-9).astype(int),
+            self.control_points - 1)
+        seg.flags.writeable = False
+        return seg
+
+    @property
     def dim(self) -> int:
         return self.control_points * self.channels
 
@@ -83,18 +112,16 @@ def build_signal(param: SignalParam, theta) -> np.ndarray:
 
     Returns (n_samples,) for one channel, else (n_samples, channels).
     `param` must already be valid (`SignalParam.validate`): this runs once
-    per real or surrogate simulation and does not check it again.
+    per real simulation and does not check it again.  The surrogate search
+    expands theta itself (`surrogate_objective`), through the same cached
+    `sample_index` / `sample_times`.
     """
     th = np.asarray(theta, dtype=float).reshape(param.control_points, param.channels)
-    times = np.arange(param.n_samples) * param.period
-    if param.interpolation == "constant" or param.control_points == 1:
-        seg = np.minimum(
-            (times * param.control_points / param.horizon + 1e-9).astype(int),
-            param.control_points - 1)
-        out = th[seg]
+    if param.holds_points:
+        out = th[param.sample_index]
     else:
         nodes = np.linspace(0.0, param.horizon, param.control_points)
-        out = np.column_stack([np.interp(times, nodes, th[:, c])
+        out = np.column_stack([np.interp(param.sample_times, nodes, th[:, c])
                                for c in range(param.channels)])
     return out[:, 0] if param.channels == 1 else out
 
@@ -187,6 +214,35 @@ OPTIMIZERS: dict[str, Callable] = {
 # ---------- the approximation-refinement loop ----------
 
 
+def _compile_trial(requirement: Formula, signal: SignalParam,
+                   real_budget: int) -> Callable[[np.ndarray], float]:
+    """Check a trial's inputs before any simulation; returns the requirement
+    compiled for one output signal of `signal.n_samples` samples."""
+    signal.validate()
+    if signal.channels != 1:
+        raise ValueError("falsification is single-input: signal.channels must be 1")
+    if real_budget < 1:
+        raise ValueError("real_budget must be >= 1")
+    return compile_requirement(requirement, signal.period, signal.n_samples)
+
+
+def surrogate_objective(model: ArxModel, rho: Callable[[np.ndarray], float],
+                        signal: SignalParam) -> Callable[[np.ndarray], float]:
+    """theta -> robustness of the surrogate's free-run response to the
+    input theta encodes.  Bit-identical to `robustness(requirement,
+    simulate_arx(model, build_signal(signal, theta)), signal.period)` for
+    `rho = compile_requirement(requirement, signal.period,
+    signal.n_samples)`, with the filter and the sample grid built once."""
+    num, den = model.siso_filter()
+    lfilter = scipy.signal.lfilter
+    if signal.holds_points:
+        idx = signal.sample_index
+        return lambda theta: rho(lfilter(num, den, theta[idx]))
+    times = signal.sample_times
+    nodes = np.linspace(0.0, signal.horizon, signal.control_points)
+    return lambda theta: rho(lfilter(num, den, np.interp(times, nodes, theta)))
+
+
 @dataclass
 class RoundLog:
     """One real simulation: round 0 rows are the initial dataset (no
@@ -222,13 +278,21 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
     candidate with one real simulation.  `optimizer` names an entry of
     `OPTIMIZERS`.
 
+    The requirement and the sample grid are compiled once per trial, before
+    any simulation, and the surrogate's filter once per round (see
+    `surrogate_objective`).  Real outputs are scored by `robustness`, which
+    checks the trace the system returns.
+
+    Raises:
+        ValueError: invalid signal, `signal.channels` other than 1, a
+            requirement the sampled output cannot be scored against, or
+            non-positive budgets; all before the first simulation.
+
     Returns:
         FalsifyResult; `falsified` is decided only by real robustness < 0
         and `falsifying_input` always re-simulates to a violation.
     """
-    signal.validate()
-    if real_budget < 1:
-        raise ValueError("real_budget must be >= 1")
+    compiled_rho = _compile_trial(requirement, signal, real_budget)
     if n_initial < 1:
         raise ValueError("n_initial must be >= 1")
     opt = OPTIMIZERS[optimizer]
@@ -262,13 +326,8 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
     while real < real_budget:
         round_idx += 1
         model = fit_arx(us, ys, arx)
-
-        def surrogate_rho(theta: np.ndarray, _m: ArxModel = model) -> float:
-            y_hat = simulate_arx(_m, build_signal(signal, theta))
-            return robustness(requirement, y_hat, signal.period)
-
-        cand, cand_rho, _ = opt(surrogate_rho, space, surrogate_budget, rng,
-                                init=best_theta)
+        cand, cand_rho, _ = opt(surrogate_objective(model, compiled_rho, signal),
+                                space, surrogate_budget, rng, init=best_theta)
         u = build_signal(signal, cand)
         y = sut(u)
         real += 1
@@ -287,10 +346,9 @@ def random_baseline(sut: Callable[[np.ndarray], np.ndarray], requirement: Formul
                     signal: SignalParam, *, real_budget: int = 300,
                     seed: int = 0) -> FalsifyResult:
     """Pure random sampling at equal real budget: every real simulation is
-    an independent uniform draw, with no surrogate in the loop."""
-    signal.validate()
-    if real_budget < 1:
-        raise ValueError("real_budget must be >= 1")
+    an independent uniform draw, with no surrogate in the loop.  Its inputs
+    are checked as `falsify` checks them, before any simulation."""
+    _compile_trial(requirement, signal, real_budget)
     rng = np.random.default_rng(seed)
     space = signal.theta_space()
     rounds: list[RoundLog] = []

@@ -32,7 +32,7 @@ from .falsify import (BENCHMARK_SYSTEMS, FalsifyResult, RoundLog, SignalParam,
                       format_stats_row, random_baseline)
 from .guidance import DtConfig, nsga2_dt, stage_checkpoints
 from .search import EvaluationArchive, SearchConfig, evolve
-from .stl import Formula, format_requirement, parse_requirement
+from .stl import Formula, compile_requirement, format_requirement, parse_requirement
 
 ALPHA = 0.05
 
@@ -170,6 +170,16 @@ class ExperimentConfig:
         if self.requirement is None:
             raise ConfigError("falsify experiments need falsify.requirement")
         self.signal.validate()
+        if self.signal.channels != 1:
+            raise ConfigError("signal.channels must be 1: the benchmark systems "
+                              "are single-input")
+        try:
+            compile_requirement(self.requirement, self.signal.period,
+                                self.signal.n_samples)
+        except ValueError as exc:
+            raise ConfigError(
+                f"falsify.requirement: {exc} (a signal of {self.signal.n_samples} "
+                f"samples at period {self.signal.period:g})") from exc
         if self.real_budget < 1 or self.surrogate_budget < 1:
             raise ConfigError("falsification budgets must be >= 1")
         if self.method not in ("anneal", "random"):

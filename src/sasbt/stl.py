@@ -4,6 +4,9 @@ A requirement is a tree of atoms (bounds on one output signal), Boolean
 connectives and bounded temporal operators.  Robustness follows the usual
 min/max quantitative semantics evaluated directly on trace samples (no
 interpolation): positive means satisfied with margin, negative violated.
+There is one evaluator: `compile_requirement` checks a formula against a
+trace shape once and returns trace -> robustness at time zero, and
+`robustness` compiles and calls it.
 
 A compact text form is supported for config files:
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -89,29 +92,62 @@ def horizon_samples(formula: Formula, period: float) -> int:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
-def _rho(formula: Formula, trace: np.ndarray, period: float) -> np.ndarray:
-    """Robustness signal: value at every sample where the horizon fits."""
+def _signal(formula: Formula, period: float, n_signals: int,
+            m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile one node: trace -> its robustness at samples 0..m-1."""
     if isinstance(formula, Atom):
-        if not 0 <= formula.signal < trace.shape[1]:
-            raise ValueError(f"signal index {formula.signal} outside trace "
-                             f"with {trace.shape[1]} signals")
-        y = trace[:, formula.signal]
-        return formula.bound - y if formula.op == "le" else y - formula.bound
+        sig, bound = formula.signal, formula.bound
+        if not 0 <= sig < n_signals:
+            raise ValueError(f"signal index {sig} outside trace "
+                             f"with {n_signals} signals")
+        if formula.op == "le":
+            return lambda tr: bound - (tr if tr.ndim == 1 else tr[:, sig])[:m]
+        return lambda tr: (tr if tr.ndim == 1 else tr[:, sig])[:m] - bound
     if isinstance(formula, Not):
-        return -_rho(formula.child, trace, period)
+        child = _signal(formula.child, period, n_signals, m)
+        return lambda tr: -child(tr)
     if isinstance(formula, (And, Or)):
-        parts = [_rho(c, trace, period) for c in formula.children]
-        n = min(p.size for p in parts)
-        stacked = np.stack([p[:n] for p in parts])
-        return (np.min if isinstance(formula, And) else np.max)(stacked, axis=0)
+        parts = [_signal(c, period, n_signals, m) for c in formula.children]
+        ufunc = np.minimum if isinstance(formula, And) else np.maximum
+        return lambda tr: ufunc.reduce(np.stack([p(tr) for p in parts]), axis=0)
     if isinstance(formula, (Always, Eventually)):
         ia, ib = _window_samples(formula.lo, formula.hi, period)
-        inner = _rho(formula.child, trace, period)
-        if inner.size <= ib:
-            raise ValueError("trace shorter than the formula horizon")
-        windows = np.lib.stride_tricks.sliding_window_view(inner[ia:], ib - ia + 1)
-        return (np.min if isinstance(formula, Always) else np.max)(windows, axis=1)
+        inner = _signal(formula.child, period, n_signals, m + ib)
+        ufunc = np.minimum if isinstance(formula, Always) else np.maximum
+        if m == 1:  # one window: reduce its slice, bit-identical to the view
+            return lambda tr: ufunc.reduce(inner(tr)[ia:], keepdims=True)
+        width = ib - ia + 1
+        return lambda tr: ufunc.reduce(np.lib.stride_tricks.sliding_window_view(
+            inner(tr)[ia:], width), axis=1)
     raise TypeError(f"not a formula node: {formula!r}")
+
+
+def compile_requirement(formula: Formula, period: float, n_samples: int,
+                        n_signals: int = 1) -> Callable[[np.ndarray], float]:
+    """Robustness at time zero as a function of the trace, checked once.
+
+    Every check `robustness` makes of a formula (period, windows, horizon,
+    signal indices) runs here, and each temporal node's window becomes a
+    fixed slice.  Inner nodes build their robustness signal only over the
+    samples their parent reads; the top node is evaluated at t = 0 alone.
+    min and max reduce in the same order as a full evaluation, so results
+    are bit-identical to it, signed zeros and NaN included.
+
+    The returned callable checks nothing about its argument: pass a float
+    array of `n_samples` rows, (n_samples,) when `n_signals` is 1, else
+    (n_samples, n_signals).
+
+    Raises:
+        ValueError: non-positive period, invalid or empty windows, a
+            horizon of `n_samples` samples or more, or a signal index
+            outside `n_signals`.
+    """
+    if period <= 0:
+        raise ValueError("period must be positive")
+    if n_samples <= horizon_samples(formula, period):
+        raise ValueError("trace shorter than the formula horizon")
+    top = _signal(formula, period, n_signals, 1)
+    return lambda trace: float(top(trace)[0])
 
 
 def robustness(formula: Formula, trace: np.ndarray, period: float) -> float:
@@ -136,9 +172,7 @@ def robustness(formula: Formula, trace: np.ndarray, period: float) -> float:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("trace must be a non-empty 1-D or 2-D array")
-    if arr.shape[0] <= horizon_samples(formula, period):
-        raise ValueError("trace shorter than the formula horizon")
-    return float(_rho(formula, arr, period)[0])
+    return compile_requirement(formula, period, arr.shape[0], arr.shape[1])(arr)
 
 
 # ---------- text form ----------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sasbt.arx import ArxConfig
+from sasbt.arx import ArxConfig, fit_arx, simulate_arx
 from sasbt.falsify import (
     FalsificationStats,
     FalsifyResult,
@@ -20,9 +20,10 @@ from sasbt.falsify import (
     parse_stats_row,
     random_baseline,
     random_minimize,
+    surrogate_objective,
 )
 from sasbt.search import SearchSpace
-from sasbt.stl import parse_requirement, robustness
+from sasbt.stl import compile_requirement, parse_requirement, robustness
 
 SHORT = SignalParam(control_points=3, lower=0.0, upper=2.0, horizon=10.0, period=1.0)
 
@@ -181,6 +182,40 @@ def test_optimizers_are_deterministic_per_seed() -> None:
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
+# ---------- the compiled surrogate objective ----------
+
+
+@pytest.mark.parametrize("signal, arx", [
+    (SignalParam(control_points=5, upper=2.0, horizon=20.0), ArxConfig(2, 2, 1)),
+    (SignalParam(control_points=4, interpolation="linear", upper=2.0, horizon=20.0,
+                 period=0.5), ArxConfig(2, 2, 1)),
+    (SignalParam(control_points=1, upper=2.0, horizon=20.0), ArxConfig(1, 1, 1)),
+    (SignalParam(control_points=1, interpolation="linear", upper=2.0, horizon=20.0),
+     ArxConfig(2, 1, 2)),
+    (SignalParam(control_points=3, upper=2.0, horizon=20.0), ArxConfig(2, 3, 0)),
+    (SignalParam(control_points=3, upper=2.0, horizon=20.0), ArxConfig(2, 0, 0)),
+], ids=["constant", "linear", "one-point", "one-point-linear", "nk0", "nb0"])
+@pytest.mark.parametrize("text", [
+    "always[0,15] y0 <= 1.5",
+    "eventually[1,4] (y0 >= 0.2 and not always[0,3.5] y0 <= 0.9)",
+])
+def test_surrogate_objective_matches_the_public_layers_bit_for_bit(
+        signal: SignalParam, arx: ArxConfig, text: str) -> None:
+    rng = np.random.default_rng(3)
+    space = signal.theta_space()
+    us = [build_signal(signal, rng.uniform(space.lower, space.upper)) for _ in range(3)]
+    model = fit_arx(us, [benchmark_sut("lti2", u) for u in us], arx)
+    req = parse_requirement(text)
+    objective = surrogate_objective(
+        model, compile_requirement(req, signal.period, signal.n_samples), signal)
+    thetas = [rng.uniform(space.lower, space.upper) for _ in range(500)]
+    thetas += [space.lower, space.upper, -0.0 * space.upper]
+    for theta in thetas:
+        expected = robustness(req, simulate_arx(model, build_signal(signal, theta)),
+                              signal.period)
+        assert np.float64(objective(theta)).tobytes() == np.float64(expected).tobytes()
+
+
 # ---------- the falsification loop ----------
 
 
@@ -283,6 +318,22 @@ def test_falsify_validates_arguments() -> None:
         falsify(sut, req, SHORT, n_initial=0)
     with pytest.raises(ValueError, match="real_budget"):
         random_baseline(sut, req, SHORT, real_budget=0)
+
+
+@pytest.mark.parametrize("search", [falsify, random_baseline])
+@pytest.mark.parametrize("text, signal, message", [
+    ("always[0,11] y0 <= 1", SHORT, "horizon"),
+    ("always[0,10] y1 <= 1", SHORT, "signal index 1"),
+    ("always[0,10] y0 <= 1", SignalParam(control_points=2, channels=2, horizon=10.0),
+     "channels must be 1"),
+])
+def test_unscorable_trials_fail_before_any_simulation(search, text: str,
+                                                     signal: SignalParam,
+                                                     message: str) -> None:
+    calls = []
+    with pytest.raises(ValueError, match=message):
+        search(lambda u: calls.append(u), parse_requirement(text), signal)
+    assert calls == []
 
 
 # ---------- trial statistics ----------

@@ -212,6 +212,32 @@ def test_falsify_config_requires_requirement_and_known_system() -> None:
             "experiment.kind = falsify\nfalsify.requirement = y0 <<= 1\n")
 
 
+# each key is valid on its own, but the combination cannot be scored or run:
+# the CLI must reject it as a config error before any simulation
+@pytest.mark.parametrize("requirement, extra, message", [
+    ("always[0,60] y0 <= 17", "signal.horizon = 50\n",
+     r"falsify\.requirement: trace shorter than the formula horizon"),
+    ("y1 <= 17", "",
+     r"falsify\.requirement: signal index 1 outside trace with 1 signals"),
+    ("always[0,50] y0 <= 17", "signal.channels = 2\n", r"signal\.channels must be 1"),
+], ids=["horizon", "signal-index", "channels"])
+def test_falsify_config_rejects_unscorable_requirement_and_channels(
+        tmp_path: Path, monkeypatch, capsys, requirement: str, extra: str,
+        message: str) -> None:
+    text = ("experiment.kind = falsify\nfalsify.system = tank\n"
+            f"falsify.requirement = {requirement}\n{extra}")
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_text(text)
+    simulated = []
+    monkeypatch.setattr(harness, "benchmark_sut", lambda *a: simulated.append(a))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["falsify", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert simulated == [] and not out.exists()
+
+
 def test_config_file_round_trip(tmp_path: Path) -> None:
     path = tmp_path / "exp.cfg"
     path.write_text(COMPARE_TEXT, encoding="utf-8")

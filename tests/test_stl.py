@@ -5,12 +5,17 @@ pairs the sign of the quantitative robustness must agree with plain Boolean
 satisfaction.  The generator keeps window bounds on exact sample multiples and
 atom bounds strictly between trace values, so robustness is never zero and the
 comparison is unambiguous.
+
+The compiled evaluator is also checked bit for bit, errors included, against
+the reference below, which builds every node's full robustness signal.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sasbt.stl import (
     Always,
@@ -20,6 +25,8 @@ from sasbt.stl import (
     Formula,
     Not,
     Or,
+    _window_samples,
+    compile_requirement,
     format_requirement,
     horizon_samples,
     parse_requirement,
@@ -77,6 +84,155 @@ def random_formula(rng: np.random.Generator, n_signals: int, depth: int) -> Form
 
 def random_trace(rng: np.random.Generator, n: int, n_signals: int) -> np.ndarray:
     return rng.integers(-4, 5, size=(n, n_signals)).astype(float)
+
+
+# ---------- reference evaluator: full robustness signal at every node ----------
+
+
+def _rho(formula: Formula, trace: np.ndarray, period: float) -> np.ndarray:
+    """Robustness signal: value at every sample where the horizon fits."""
+    if isinstance(formula, Atom):
+        if not 0 <= formula.signal < trace.shape[1]:
+            raise ValueError(f"signal index {formula.signal} outside trace "
+                             f"with {trace.shape[1]} signals")
+        y = trace[:, formula.signal]
+        return formula.bound - y if formula.op == "le" else y - formula.bound
+    if isinstance(formula, Not):
+        return -_rho(formula.child, trace, period)
+    if isinstance(formula, (And, Or)):
+        parts = [_rho(c, trace, period) for c in formula.children]
+        n = min(p.size for p in parts)
+        stacked = np.stack([p[:n] for p in parts])
+        return (np.min if isinstance(formula, And) else np.max)(stacked, axis=0)
+    if isinstance(formula, (Always, Eventually)):
+        ia, ib = _window_samples(formula.lo, formula.hi, period)
+        inner = _rho(formula.child, trace, period)
+        if inner.size <= ib:
+            raise ValueError("trace shorter than the formula horizon")
+        windows = np.lib.stride_tricks.sliding_window_view(inner[ia:], ib - ia + 1)
+        return (np.min if isinstance(formula, Always) else np.max)(windows, axis=1)
+    raise TypeError(f"not a formula node: {formula!r}")
+
+
+def reference_robustness(formula: Formula, trace: np.ndarray, period: float) -> float:
+    if period <= 0:
+        raise ValueError("period must be positive")
+    arr = np.asarray(trace, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise ValueError("trace must be a non-empty 1-D or 2-D array")
+    if arr.shape[0] <= horizon_samples(formula, period):
+        raise ValueError("trace shorter than the formula horizon")
+    return float(_rho(formula, arr, period)[0])
+
+
+def outcome(fn, *args):
+    """IEEE bytes of the result (any NaN as one value), or the error raised."""
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("nan",) if math.isnan(value) else ("value", np.float64(value).tobytes())
+
+
+def compiled(formula: Formula, trace: np.ndarray, period: float) -> float:
+    n_signals = 1 if trace.ndim == 1 else trace.shape[1]
+    return compile_requirement(formula, period, len(trace), n_signals)(trace)
+
+
+def rewindow(f: Formula, lo: float, hi: float) -> Formula:
+    """`f` with its first temporal node's window replaced by [lo, hi]."""
+    if isinstance(f, (Always, Eventually)):
+        return type(f)(lo, hi, f.child)
+    if isinstance(f, Not):
+        return Not(rewindow(f.child, lo, hi))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(rewindow(c, lo, hi) for c in f.children))
+    return f
+
+
+def bounds(f: Formula) -> set[float]:
+    if isinstance(f, Atom):
+        return {f.bound}
+    children = f.children if isinstance(f, (And, Or)) else (f.child,)
+    return set().union(*(bounds(c) for c in children))
+
+
+# a sample equal to an atom's bound scores +0.0, and -0.0 under `not`, so
+# min/max ties between signed zeros are common; NaN and infinities propagate
+SPECIAL_VALUES = [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.data())
+def test_compiled_requirement_matches_reference_bit_for_bit(data) -> None:
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    k = data.draw(st.integers(1, 3))
+    f = random_formula(rng, k, data.draw(st.integers(0, 4)))
+    window = data.draw(st.sampled_from([None] * 6 + [(-0.5, 1.0), (1.5, 1.0)]))
+    if window is not None:
+        f = rewindow(f, *window)
+    g = parse_requirement(format_requirement(f))
+    assert g == f
+    # periods off the 0.5 grid give windows a sample short, or empty ones
+    period = data.draw(st.sampled_from([0.5] * 6 + [1.0, 0.3, 0.7, 0.25, 2.0, 0.0, -0.5]))
+    try:
+        h = horizon_samples(g, period) if period > 0 else 0
+    except ValueError:
+        h = 0
+    n = data.draw(st.integers(max(1, h - 1), h + 6))  # short traces included
+    n_signals = data.draw(st.sampled_from([k] * 6 + [max(1, k - 1)]))  # bad indices too
+    pool = sorted(bounds(g)) * 6 + SPECIAL_VALUES
+    values = data.draw(st.lists(st.sampled_from(pool),
+                                min_size=n * n_signals, max_size=n * n_signals))
+    trace = np.array(values).reshape(n, n_signals)
+    if n_signals == 1 and data.draw(st.booleans()):
+        trace = trace[:, 0]
+    expected = outcome(reference_robustness, g, trace, period)
+    assert outcome(robustness, g, trace, period) == expected
+    assert outcome(compiled, g, trace, period) == expected
+
+
+def test_compiled_requirement_breaks_signed_zero_ties_as_reference() -> None:
+    # z is -0.0 where y0 == 0.5 and y1 == 1.5, +0.0 where both are 0.5: min
+    # and max of mixed zeros depend on evaluation order, which must not move
+    z = And((Not(Atom(0, "le", 0.5)), Atom(1, "ge", 0.5)))
+    formulas = [
+        z, Or((Atom(1, "ge", 0.5), Not(Atom(0, "le", 0.5)))),
+        And((z, Not(z), z)), Or((Not(z), z)),
+        # numpy reduces 17- and 33-sample windows in a non-sequential order
+        Always(0.0, 16.0, z), Eventually(0.0, 32.0, Not(z)),
+        Always(3.0, 35.0, Or((z, Not(z)))),
+        Eventually(0.0, 5.0, Always(1.0, 17.0, z)),
+        And((Always(0.0, 16.0, z), Not(Eventually(0.0, 32.0, z)))),
+    ]
+    rng = np.random.default_rng(0)
+    for f in formulas:
+        for _ in range(40):
+            trace = np.column_stack([np.full(60, 0.5), rng.choice([0.5, 1.5], 60)])
+            expected = outcome(reference_robustness, f, trace, 1.0)
+            assert expected[0] == "value"
+            assert outcome(compiled, f, trace, 1.0) == expected
+
+
+def test_compiled_requirement_errors_match_reference() -> None:
+    a = Atom(0, "le", 1.0)
+    cases = [
+        (Always(0.0, 5.0, a), np.zeros(5), 1.0),  # short trace
+        (Always(0.5, 1.5, a), np.zeros(10), 2.0),  # empty window
+        (Eventually(-1.0, 2.0, a), np.zeros(10), 1.0),  # bad window
+        (Eventually(3.0, 2.0, a), np.zeros(10), 1.0),  # bad window
+        (Always(0.0, 1.0, Atom(2, "ge", 0.0)), np.zeros((4, 2)), 1.0),  # signal index
+        (a, np.zeros(4), 0.0),  # bad period
+        # window errors come before signal errors, whatever the tree order
+        (And((Atom(3, "le", 0.0), Always(0.5, 1.5, a))), np.zeros(10), 2.0),
+    ]
+    for f, trace, period in cases:
+        expected = outcome(reference_robustness, f, trace, period)
+        assert expected[0] == "error"
+        assert outcome(robustness, f, trace, period) == expected
+        assert outcome(compiled, f, trace, period) == expected
 
 
 def test_sign_agrees_with_boolean_oracle() -> None:
