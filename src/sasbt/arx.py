@@ -97,17 +97,39 @@ class ArxModel:
         return a[0], b[0]
 
     def siso_filter(self) -> tuple[np.ndarray, np.ndarray]:
-        """(num, den) of `scipy.signal.lfilter` that free-runs this SISO
-        model: den = [1, -a], num = nk zeros then b (one zero when empty)."""
+        """(num, den) of `lfilter` that free-runs this SISO model:
+        den = [1, -a], num = nk zeros then b (one zero when empty)."""
         a, b = self.siso_coefficients()
         num = np.concatenate((np.zeros(int(self.nk[0, 0])), b))
         return (num if num.size else np.zeros(1)), np.concatenate(([1.0], -a))
+
+
+def lfilter(num: np.ndarray, den: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`scipy.signal.lfilter(num, den, x)`, bit for bit, on 1-D float arrays.
+
+    With feedback (`den.size > 1`) the public function only wraps its
+    compiled direct-form kernel in array-API dispatch, which costs more than
+    the kernel on a short signal, so this calls the kernel itself.  A pure
+    FIR filter keeps scipy's path: scipy convolves those, and the kernel's
+    sums can differ in the last bit.
+    """
+    if den.size == 1:
+        return scipy.signal.lfilter(num, den, x)
+    return scipy.signal._sigtools._linear_filter(num, den, x, -1)
 
 
 def _row_start(na: np.ndarray, nb: np.ndarray, nk: np.ndarray, i: int) -> int:
     lags = [int(v) for v in na[i]]
     lags += [int(nk[i, j] + nb[i, j] - 1) for j in range(nb.shape[1]) if nb[i, j] > 0]
     return max(lags) if lags else 0
+
+
+def siso_rows(config: ArxConfig, n_samples: int) -> int:
+    """Regression rows `fit_arx` takes from one SISO trace of `n_samples`
+    samples under `config`'s (non-negative) orders."""
+    na, nb, nk = (_order_matrix(v, 1, 1, name) for name, v in
+                  (("na", config.na), ("nb", config.nb), ("nk", config.nk)))
+    return max(0, n_samples - _row_start(na, nb, nk, 0))
 
 
 def fit_arx(u, y, config: ArxConfig | None = None) -> ArxModel:
@@ -191,7 +213,7 @@ def simulate_arx(model: ArxModel, u) -> np.ndarray:
         raise ValueError(f"input has {arr.shape[1]} channels, model expects {model.nu}")
     n = arr.shape[0]
     if model.ny == 1 and model.nu == 1:
-        y = scipy.signal.lfilter(*model.siso_filter(), arr[:, 0])
+        y = lfilter(*model.siso_filter(), arr[:, 0])
         return y if squeeze else y[:, None]
     y = np.zeros((n, model.ny))
     for k in range(n):

@@ -12,8 +12,11 @@ one, so nothing fixed is rebuilt per call: each trial compiles the
 requirement (`stl.compile_requirement`) and the signal's sample grid
 (`SignalParam.sample_index`) once, and each round the fitted model's
 filter coefficients (`ArxModel.siso_filter`).  A surrogate call is then
-one gather, one `lfilter` and one compiled robustness evaluation
-(`surrogate_objective`).  Falsification is single-input, single-output.
+one gather (or `np.interp`), one `arx.lfilter`, which calls scipy's
+compiled filter kernel directly, and one compiled robustness evaluation
+(`surrogate_objective`).  Each annealing step also clips its proposal to
+the box (`SearchSpace.clip`).  Falsification is single-input,
+single-output.
 
 Also provides the parametric input-signal encoding shared by every system
 under test, two built-in benchmark systems, a pure-random baseline, and the
@@ -28,9 +31,8 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy  # submodules load on first use, keeping `import sasbt` cheap
 
-from .arx import ArxConfig, ArxModel, fit_arx
+from .arx import ArxConfig, ArxModel, fit_arx, lfilter
 from .search import SearchSpace, lhs_sample
 from .stl import Formula, compile_requirement, robustness
 
@@ -131,6 +133,7 @@ def build_signal(param: SignalParam, theta) -> np.ndarray:
 TANK_DT = 1.0
 TANK_OUTFLOW = 0.4
 TANK_LEVEL0 = 0.0
+LTI2_FILTER = (np.array([0.0, 1.0, 0.3]), np.array([1.0, -0.5, -0.2]))  # (num, den)
 BENCHMARK_SYSTEMS = ("lti2", "tank")  # the names benchmark_sut knows
 
 
@@ -146,7 +149,7 @@ def benchmark_sut(name: str, u) -> np.ndarray:
     if u.ndim != 1:
         raise ValueError("benchmark systems are single-input (1-D signal)")
     if name == "lti2":
-        return scipy.signal.lfilter([0.0, 1.0, 0.3], [1.0, -0.5, -0.2], u)
+        return lfilter(*LTI2_FILTER, u)
     if name == "tank":
         y = np.empty_like(u)
         x = TANK_LEVEL0
@@ -176,8 +179,9 @@ def anneal_minimize(fun: Callable[[np.ndarray], float], space: SearchSpace,
     best_x, best_f = x, fx
     temp = t0
     sigma = step_scale * (space.upper - space.lower)
+    dim = space.dim
     while evals < budget:
-        cand = space.clip(x + rng.normal(0.0, 1.0, space.dim) * sigma)
+        cand = space.clip(x + rng.normal(0.0, 1.0, dim) * sigma)
         fc = fun(cand)
         evals += 1
         delta = fc - fx
@@ -232,9 +236,10 @@ def surrogate_objective(model: ArxModel, rho: Callable[[np.ndarray], float],
     input theta encodes.  Bit-identical to `robustness(requirement,
     simulate_arx(model, build_signal(signal, theta)), signal.period)` for
     `rho = compile_requirement(requirement, signal.period,
-    signal.n_samples)`, with the filter and the sample grid built once."""
+    signal.n_samples)`, with the filter and the sample grid built once and
+    the response filtered by `arx.lfilter`, the same helper `simulate_arx`
+    uses."""
     num, den = model.siso_filter()
-    lfilter = scipy.signal.lfilter
     if signal.holds_points:
         idx = signal.sample_index
         return lambda theta: rho(lfilter(num, den, theta[idx]))

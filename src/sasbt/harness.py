@@ -26,7 +26,7 @@ import numpy as np
 import scipy  # submodules load on first use, keeping `import sasbt` cheap
 
 from . import indicators, scenario
-from .arx import ArxConfig
+from .arx import ArxConfig, siso_rows
 from .falsify import (BENCHMARK_SYSTEMS, FalsifyResult, RoundLog, SignalParam,
                       benchmark_sut, falsification_stats, falsify,
                       format_stats_row, random_baseline)
@@ -186,8 +186,27 @@ class ExperimentConfig:
             raise ConfigError(f"unknown falsification method: {self.method!r}")
         if self.n_initial < 1:
             raise ConfigError("n_initial must be >= 1")
+        self._validate_arx()
         if self.system not in BENCHMARK_SYSTEMS:
             raise ConfigError(f"unknown benchmark system: {self.system!r}")
+
+    def _validate_arx(self) -> None:
+        """The first surrogate fit, on the `n_initial` real traces, must have
+        a regression row per coefficient; checked here, not after those
+        simulations have run."""
+        na, nb, nk = self.arx.na, self.arx.nb, self.arx.nk
+        for name, value in (("na", na), ("nb", nb), ("nk", nk)):
+            if value < 0:
+                raise ConfigError(f"falsify.arx_{name} must be >= 0, got {value}")
+        if na + nb == 0:
+            raise ConfigError("falsify.arx_na and falsify.arx_nb are both 0: "
+                              "the surrogate would have no coefficients")
+        rows = self.n_initial * siso_rows(self.arx, self.signal.n_samples)
+        if rows < na + nb:
+            raise ConfigError(
+                f"falsify.arx_na/arx_nb/arx_nk = {na}/{nb}/{nk} leave {rows} "
+                f"regression rows in falsify.n_initial = {self.n_initial} traces of "
+                f"{self.signal.n_samples} samples, fewer than the {na + nb} coefficients")
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from sasbt.arx import ArxConfig, fit_arx, simulate_arx
 from sasbt.falsify import (
@@ -194,7 +195,8 @@ def test_optimizers_are_deterministic_per_seed() -> None:
      ArxConfig(2, 1, 2)),
     (SignalParam(control_points=3, upper=2.0, horizon=20.0), ArxConfig(2, 3, 0)),
     (SignalParam(control_points=3, upper=2.0, horizon=20.0), ArxConfig(2, 0, 0)),
-], ids=["constant", "linear", "one-point", "one-point-linear", "nk0", "nb0"])
+    (SignalParam(control_points=3, upper=2.0, horizon=20.0), ArxConfig(0, 3, 0)),
+], ids=["constant", "linear", "one-point", "one-point-linear", "nk0", "nb0", "na0"])
 @pytest.mark.parametrize("text", [
     "always[0,15] y0 <= 1.5",
     "eventually[1,4] (y0 >= 0.2 and not always[0,3.5] y0 <= 0.9)",
@@ -206,14 +208,22 @@ def test_surrogate_objective_matches_the_public_layers_bit_for_bit(
     us = [build_signal(signal, rng.uniform(space.lower, space.upper)) for _ in range(3)]
     model = fit_arx(us, [benchmark_sut("lti2", u) for u in us], arx)
     req = parse_requirement(text)
-    objective = surrogate_objective(
-        model, compile_requirement(req, signal.period, signal.n_samples), signal)
+    rho = compile_requirement(req, signal.period, signal.n_samples)
+    traces = []  # every response the objective scores
+    objective = surrogate_objective(model, lambda y: traces.append(y) or rho(y), signal)
+    num, den = model.siso_filter()
     thetas = [rng.uniform(space.lower, space.upper) for _ in range(500)]
     thetas += [space.lower, space.upper, -0.0 * space.upper]
     for theta in thetas:
-        expected = robustness(req, simulate_arx(model, build_signal(signal, theta)),
-                              signal.period)
-        assert np.float64(objective(theta)).tobytes() == np.float64(expected).tobytes()
+        # public scipy here: simulate_arx shares the objective's filter helper;
+        # at na = 0 a direct-form filter changes trace bits but rarely rho
+        u = build_signal(signal, theta)
+        y = scipy.signal.lfilter(num, den, u)
+        got = objective(theta)
+        assert traces.pop().tobytes() == y.tobytes()
+        assert simulate_arx(model, u).tobytes() == y.tobytes()
+        expected = robustness(req, y, signal.period)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 # ---------- the falsification loop ----------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sasbt import cli, harness
+from sasbt.arx import ArxConfig, fit_arx
 from sasbt.harness import (
     METRICS,
     ConfigError,
@@ -236,6 +237,55 @@ def test_falsify_config_rejects_unscorable_requirement_and_channels(
     assert cli.main(["falsify", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert simulated == [] and not out.exists()
+
+
+# each order would only fail at the first ARX fit, after n_initial real runs
+@pytest.mark.parametrize("orders, message", [
+    ("falsify.arx_na = -1\n", r"falsify\.arx_na must be >= 0, got -1"),
+    ("falsify.arx_na = 0\nfalsify.arx_nb = 0\n",
+     r"falsify\.arx_na and falsify\.arx_nb are both 0"),
+    ("falsify.arx_nk = 60\n", r"falsify\.arx_na/arx_nb/arx_nk = 2/2/60 leave 0 regression "
+     r"rows in falsify\.n_initial = 2 traces of 51 samples, fewer than the 4 coefficients"),
+], ids=["negative", "no-coefficients", "no-rows"])
+def test_falsify_config_rejects_unfittable_arx_orders(
+        tmp_path: Path, monkeypatch, capsys, orders: str, message: str) -> None:
+    text = ("experiment.kind = falsify\nfalsify.system = tank\n"
+            f"falsify.requirement = always[0,50] y0 <= 17\n{orders}")
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_text(text)
+    simulated = []
+    monkeypatch.setattr(harness, "benchmark_sut", lambda *a: simulated.append(a))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["falsify", "--config", str(path), "--out", str(out),
+                     "--reps", "1"]) == cli.EXIT_CONFIG
+    assert "config error: falsify.arx_" in capsys.readouterr().err
+    assert simulated == [] and not out.exists()
+
+
+@pytest.mark.parametrize("n_initial", [1, 2])
+def test_arx_order_check_accepts_exactly_the_fittable_orders(n_initial: int) -> None:
+    rng = np.random.default_rng(n_initial)
+    for na in range(4):
+        for nb in range(4):
+            for nk in range(8):
+                text = ("experiment.kind = falsify\nfalsify.requirement = y0 <= 1\n"
+                        f"falsify.n_initial = {n_initial}\nfalsify.arx_na = {na}\n"
+                        f"falsify.arx_nb = {nb}\nfalsify.arx_nk = {nk}\n"
+                        "signal.horizon = 6\n")
+                try:
+                    ExperimentConfig.from_text(text)
+                    accepted = True
+                except ConfigError:
+                    accepted = False
+                us = [rng.normal(size=7) for _ in range(n_initial)]
+                try:
+                    fit_arx(us, us, ArxConfig(na, nb, nk))
+                    fits = True
+                except ValueError:
+                    fits = False
+                assert accepted == fits, (na, nb, nk)
 
 
 def test_config_file_round_trip(tmp_path: Path) -> None:

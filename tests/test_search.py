@@ -192,6 +192,21 @@ def test_search_space_validation():
     np.testing.assert_array_equal(space.clip(np.array([-1.0])), [0.0])
 
 
+@pytest.mark.parametrize("n", [1, 5, 17])
+def test_clip_matches_np_clip_bit_for_bit(n):
+    # signed zeros, NaN, infinities and values equal to a bound
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf, -1.0, 0.5, 1.0, 2.0, -2.0, 5e-324]
+    boxes = [(-0.0, 1.0), (0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (0.5, 2.0),
+             (-np.inf, np.inf), (-np.inf, 0.0), (-0.0, np.inf)]
+    rng = np.random.default_rng(n)
+    for _ in range(300):
+        pick = rng.integers(0, len(boxes), n)
+        space = SearchSpace([boxes[i][0] for i in pick], [boxes[i][1] for i in pick])
+        x = rng.choice(values, n)
+        expected = np.clip(x, space.lower, space.upper)
+        assert space.clip(x).tobytes() == expected.tobytes()
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(population=7).validate()  # odd
