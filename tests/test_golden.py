@@ -17,9 +17,13 @@ so each trial runs a single surrogate search.  `falsify_tank_long` is
 20, so each of its two trials refits the ARX model and searches the
 surrogate 18 times.  Its digests were recorded from the code before the
 surrogate search called scipy's filter kernel directly and clipped with
-`np.minimum(np.maximum(...))`.
+`np.minimum(np.maximum(...))`.  `falsify_tank_long_fir` is the same run with
+`falsify.arx_na = 0`, so every surrogate is a pure FIR filter; its digests
+were recorded while `arx.lfilter` still sent such filters through public
+`scipy.signal.lfilter`.  Its report.json and stats.csv equal
+`falsify_tank_long`'s because report.json records no ARX orders.
 
-The four runs take a few seconds in total.
+The five runs take a few seconds in total.
 """
 
 import hashlib
@@ -36,6 +40,10 @@ DERIVED = {
     "falsify_tank_long": ("falsify_tank", {"falsify.requirement": "always[0,50] y0 <= 24",
                                            "falsify.real_budget": "20",
                                            "experiment.repetitions": "2"}),
+    "falsify_tank_long_fir": ("falsify_tank", {"falsify.requirement": "always[0,50] y0 <= 24",
+                                               "falsify.real_budget": "20",
+                                               "experiment.repetitions": "2",
+                                               "falsify.arx_na": "0"}),
 }
 
 GOLDEN = {
@@ -84,6 +92,12 @@ GOLDEN = {
         "stats.csv": "2201364a8cfc7b005b992f07199e62b00c829ddee29931c623c9e9b561889598",
         "trial_00.jsonl": "9affed044f497ac2066084cef185cdbc22af08e3191441a5c5a421ec2e39beb0",
         "trial_01.jsonl": "5502108b57b1af2b223512cf4d4f0abe24c67d914ba9820d52c06cf76a1471b4",
+    },
+    "falsify_tank_long_fir": {
+        "report.json": "ca784d46c9671ec81e901944d1d3f6b091b6a954d5585ac60781e289be20eae7",
+        "stats.csv": "2201364a8cfc7b005b992f07199e62b00c829ddee29931c623c9e9b561889598",
+        "trial_00.jsonl": "4636af57eb4c6403880298909f564d9ee3cde38f6f543ac753a7a453ea8006c6",
+        "trial_01.jsonl": "79c5cf6b5459e97359f2802a0649b41f289da7d44bcd5901b1c258c7b381beba",
     },
 }
 
