@@ -13,10 +13,12 @@ simulation feeds predictions back recursively from zero initial lags.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # submodules load on first use, keeping `import sasbt` cheap
+import scipy  # only to locate the filter kernel; no scipy submodule is imported
 
 
 @dataclass(frozen=True)
@@ -104,18 +106,44 @@ class ArxModel:
         return (num if num.size else np.zeros(1)), np.concatenate(([1.0], -a))
 
 
-def lfilter(num: np.ndarray, den: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`scipy.signal.lfilter(num, den, x)`, bit for bit, on 1-D float arrays.
+@functools.cache
+def _linear_filter():
+    """scipy's compiled direct-form filter kernel, `_sigtools._linear_filter`.
 
-    With feedback (`den.size > 1`) the public function only wraps its
-    compiled direct-form kernel in array-API dispatch, which costs more than
-    the kernel on a short signal, so this calls the kernel itself.  A pure
-    FIR filter keeps scipy's path: scipy convolves those, and the kernel's
-    sums can differ in the last bit.
+    The extension is loaded on its own from scipy's `signal` directory, once
+    per process, so a falsify run never imports `scipy.signal` (which would
+    also load `scipy.stats` and `scipy.linalg`).  It is not registered under
+    scipy's dotted name, so a later `import scipy.signal` loads its own copy.
+
+    Raises:
+        ImportError: the directory holds no `_sigtools` extension.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    where = os.path.join(os.path.dirname(scipy.__file__), "signal")
+    spec = importlib.machinery.PathFinder.find_spec("_sigtools", [where])
+    if spec is None:
+        raise ImportError(f"scipy's compiled filter kernel _sigtools not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._linear_filter
+
+
+def lfilter(num: np.ndarray, den: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`scipy.signal.lfilter(num, den, x)`, bit for bit, on 1-D float arrays,
+    without importing `scipy.signal`.
+
+    With feedback (`den.size > 1`) this calls the compiled direct-form kernel
+    that the public function wraps in array-API dispatch (`_linear_filter`).
+    A pure FIR filter is what scipy's public path computes for a 1-D signal:
+    `np.convolve(num / den[0], x)` cut to `x.size` samples, which raises
+    `ValueError` on an empty `x` as scipy does.  The kernel's sums can differ
+    from the convolution's in the last bit, so the two paths stay apart.
     """
     if den.size == 1:
-        return scipy.signal.lfilter(num, den, x)
-    return scipy.signal._sigtools._linear_filter(num, den, x, -1)
+        return np.convolve(num / den[0], x)[:x.size]
+    return _linear_filter()(num, den, x, -1)
 
 
 def _row_start(na: np.ndarray, nb: np.ndarray, nk: np.ndarray, i: int) -> int:

@@ -4,8 +4,13 @@ The oracle is a direct difference-equation recursion written here: data
 generated from known coefficients must be recovered by the least-squares fit
 to tight tolerance, and the library's simulation must match the recursion.
 The `lfilter` helper is checked byte for byte against public
-`scipy.signal.lfilter`.
+`scipy.signal.lfilter`, and must name where it looked when scipy's compiled
+filter kernel is missing.
 """
+
+import importlib.machinery
+import os
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sasbt import arx
 from sasbt.arx import ArxConfig, ArxModel, fit_arx, lfilter, simulate_arx
 
 
@@ -219,6 +225,20 @@ def test_lfilter_matches_public_scipy_bit_for_bit(data) -> None:
     expected = filter_outcome(scipy.signal.lfilter, num, den, x)
     assert filter_outcome(lfilter, num, den, x) == expected
     assert expected[0] == "ok" or (n_den == 1 and n == 0)  # scipy's FIR path rejects empty x
+
+
+def test_lfilter_names_the_searched_directory_when_the_kernel_is_missing(monkeypatch) -> None:
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    arx._linear_filter.cache_clear()
+    where = os.path.join(os.path.dirname(scipy.__file__), "signal")
+    try:
+        with pytest.raises(ImportError, match=re.escape(where)):
+            lfilter(np.array([1.0]), np.array([1.0, -0.5]), np.ones(5))
+        # a pure FIR filter needs no kernel
+        assert lfilter(np.array([1.0]), np.array([2.0]), np.ones(2)).tolist() == [0.5, 0.5]
+    finally:
+        arx._linear_filter.cache_clear()
 
 
 # ---------- validation ----------
