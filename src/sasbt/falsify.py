@@ -13,9 +13,10 @@ requirement (`stl.compile_requirement`) and the signal's sample grid
 (`SignalParam.sample_index`) once, and each round the fitted model's
 filter coefficients (`ArxModel.siso_filter`).  A surrogate call is then
 one gather (or `np.interp`), one `arx.lfilter`, which calls scipy's
-compiled filter kernel directly, and one compiled robustness evaluation
-(`surrogate_objective`).  Each annealing step also clips its proposal to
-the box (`SearchSpace.clip`).  Falsification is single-input,
+compiled filter kernel directly (or `np.convolve` for a pure FIR surrogate,
+`arx_na = 0`) without importing `scipy.signal`, and one compiled robustness
+evaluation (`surrogate_objective`).  Each annealing step also clips its
+proposal to the box (`SearchSpace.clip`).  Falsification is single-input,
 single-output.
 
 Also provides the parametric input-signal encoding shared by every system

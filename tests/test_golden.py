@@ -35,15 +35,12 @@ from sasbt.harness import ExperimentConfig, parse_config_text, run_compare, run_
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+LONG = {"falsify.requirement": "always[0,50] y0 <= 24", "falsify.real_budget": "20",
+        "experiment.repetitions": "2"}
 # name -> (bundled config, overridden keys); the other names run their config as is
 DERIVED = {
-    "falsify_tank_long": ("falsify_tank", {"falsify.requirement": "always[0,50] y0 <= 24",
-                                           "falsify.real_budget": "20",
-                                           "experiment.repetitions": "2"}),
-    "falsify_tank_long_fir": ("falsify_tank", {"falsify.requirement": "always[0,50] y0 <= 24",
-                                               "falsify.real_budget": "20",
-                                               "experiment.repetitions": "2",
-                                               "falsify.arx_na": "0"}),
+    "falsify_tank_long": ("falsify_tank", LONG),
+    "falsify_tank_long_fir": ("falsify_tank", {**LONG, "falsify.arx_na": "0"}),
 }
 
 GOLDEN = {
