@@ -1,14 +1,13 @@
 """ARX surrogate models: least-squares identification and free-run simulation.
 
-The model predicts each output from lagged outputs and delayed lagged
-inputs:
+The single-input single-output model predicts the output from its own lags
+and from delayed lags of the input:
 
-    y_i[k] = sum_j sum_{l=1..na[i,j]} a[i,j,l] * y_j[k-l]
-           + sum_j sum_{l=0..nb[i,j]-1} b[i,j,l] * u_j[k-nk[i,j]-l]
+    y[k] = sum_{l=1..na} a[l] * y[k-l] + sum_{l=0..nb-1} b[l] * u[k-nk-l]
 
-Orders may be scalars (broadcast) or per-channel matrices.  Fitting stacks
-one least-squares problem per output over every supplied trace; free-run
-simulation feeds predictions back recursively from zero initial lags.
+Fitting solves one least-squares problem over every supplied trace; free-run
+simulation feeds predictions back recursively from zero initial lags, which
+is the IIR filter `siso_filter` returns.
 """
 
 from __future__ import annotations
@@ -23,86 +22,47 @@ import scipy  # only to locate the filter kernel; no scipy submodule is imported
 
 @dataclass(frozen=True)
 class ArxConfig:
-    """Model orders; scalars broadcast over all channel pairs."""
+    """Model orders."""
 
-    na: int | np.ndarray = 2  # output lags
-    nb: int | np.ndarray = 2  # input lags
-    nk: int | np.ndarray = 2  # input delay
-
-
-def _order_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=int)
-    if arr.ndim == 0:
-        arr = np.full((rows, cols), int(arr))
-    if arr.shape != (rows, cols):
-        raise ValueError(f"{name} must be scalar or shape ({rows}, {cols})")
-    if np.any(arr < 0):
-        raise ValueError(f"{name} entries must be >= 0")
-    return arr
+    na: int = 2  # output lags
+    nb: int = 2  # input lags
+    nk: int = 2  # input delay
 
 
 def _as_traces(u, y) -> list[tuple[np.ndarray, np.ndarray]]:
     if isinstance(u, (list, tuple)) != isinstance(y, (list, tuple)):
         raise ValueError("u and y must both be arrays or both be lists of arrays")
-    pairs = list(zip(u, y)) if isinstance(u, (list, tuple)) else [(u, y)]
-    out = []
-    for uu, yy in pairs:
-        uu = np.asarray(uu, dtype=float)
-        yy = np.asarray(yy, dtype=float)
-        if uu.ndim == 1:
-            uu = uu[:, None]
-        if yy.ndim == 1:
-            yy = yy[:, None]
-        if uu.shape[0] != yy.shape[0]:
+    pairs = zip(u, y) if isinstance(u, (list, tuple)) else [(u, y)]
+    out = [(np.asarray(uu, dtype=float), np.asarray(yy, dtype=float)) for uu, yy in pairs]
+    for uu, yy in out:
+        if uu.ndim != 1 or yy.ndim != 1:
+            raise ValueError("u and y traces must be 1-D (single-input single-output)")
+        if uu.size != yy.size:
             raise ValueError("u and y trace lengths differ")
-        out.append((uu, yy))
     return out
 
 
 @dataclass
 class ArxModel:
-    na: np.ndarray  # (ny, ny)
-    nb: np.ndarray  # (ny, nu)
-    nk: np.ndarray  # (ny, nu)
-    theta: list[np.ndarray]  # per output: concatenated a then b coefficients
+    na: int
+    nb: int
+    nk: int
+    theta: np.ndarray  # the na a coefficients, then the nb b coefficients
     rank_deficient: bool
-    residual_orthogonality: float  # max_i ||Phi^T r|| / max(1, ||Phi^T y||)
+    residual_orthogonality: float  # ||Phi^T r|| / max(1, ||Phi^T y||)
     residual_rms: float  # one-step prediction residual over the fit data
 
-    @property
-    def ny(self) -> int:
-        return self.na.shape[0]
-
-    @property
-    def nu(self) -> int:
-        return self.nb.shape[1]
-
-    def split_coefficients(self, output: int = 0) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-channel (a, b) coefficient arrays for one output row."""
-        th = self.theta[output]
-        a, b = [], []
-        pos = 0
-        for j in range(self.ny):
-            n = self.na[output, j]
-            a.append(th[pos:pos + n])
-            pos += n
-        for j in range(self.nu):
-            n = self.nb[output, j]
-            b.append(th[pos:pos + n])
-            pos += n
-        return a, b
+    ny = 1  # outputs; a class constant that perfbench/spans.py `fit_rows` reads
 
     def siso_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.ny != 1 or self.nu != 1:
-            raise ValueError("model is not single-input single-output")
-        a, b = self.split_coefficients(0)
-        return a[0], b[0]
+        """The (a, b) coefficient arrays."""
+        return self.theta[:self.na], self.theta[self.na:]
 
     def siso_filter(self) -> tuple[np.ndarray, np.ndarray]:
-        """(num, den) of `lfilter` that free-runs this SISO model:
+        """(num, den) of `lfilter` that free-runs this model:
         den = [1, -a], num = nk zeros then b (one zero when empty)."""
         a, b = self.siso_coefficients()
-        num = np.concatenate((np.zeros(int(self.nk[0, 0])), b))
+        num = np.concatenate((np.zeros(self.nk), b))
         return (num if num.size else np.zeros(1)), np.concatenate(([1.0], -a))
 
 
@@ -146,26 +106,26 @@ def lfilter(num: np.ndarray, den: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _linear_filter()(num, den, x, -1)
 
 
-def _row_start(na: np.ndarray, nb: np.ndarray, nk: np.ndarray, i: int) -> int:
-    lags = [int(v) for v in na[i]]
-    lags += [int(nk[i, j] + nb[i, j] - 1) for j in range(nb.shape[1]) if nb[i, j] > 0]
-    return max(lags) if lags else 0
+def _row_start(na: int, nb: int, nk: int, i: int = 0) -> int:
+    """First sample with a full regressor row; `i` is ignored (perfbench/ passes it)."""
+    return max(na, nk + nb - 1) if nb else na
 
 
 def siso_rows(config: ArxConfig, n_samples: int) -> int:
-    """Regression rows `fit_arx` takes from one SISO trace of `n_samples`
+    """Regression rows `fit_arx` takes from one trace of `n_samples`
     samples under `config`'s (non-negative) orders."""
-    na, nb, nk = (_order_matrix(v, 1, 1, name) for name, v in
-                  (("na", config.na), ("nb", config.nb), ("nk", config.nk)))
-    return max(0, n_samples - _row_start(na, nb, nk, 0))
+    return max(0, n_samples - _row_start(config.na, config.nb, config.nk))
 
 
 def fit_arx(u, y, config: ArxConfig | None = None) -> ArxModel:
     """Least-squares ARX fit over one or more traces.
 
+    The regressor row of sample k holds y[k-1..k-na] then u[k-nk..k-nk-nb+1];
+    a trace too short for one full row contributes none.
+
     Args:
-        u: input trace (N,) / (N, nu), or a list of such traces.
-        y: matching output trace(s) (N,) / (N, ny).
+        u: 1-D input trace, or a list of them.
+        y: matching 1-D output trace(s).
         config: model orders (defaults na=nb=nk=2).
 
     Returns:
@@ -174,91 +134,46 @@ def fit_arx(u, y, config: ArxConfig | None = None) -> ArxModel:
         certifies the normal equations were solved.
 
     Raises:
-        ValueError: fewer usable regression rows than coefficients, shape
-            mismatches, or invalid orders.
+        ValueError: fewer usable regression rows than coefficients, traces
+            that are not 1-D or differ in length, or invalid orders.
     """
     config = config or ArxConfig()
     traces = _as_traces(u, y)
-    nu = traces[0][0].shape[1]
-    ny = traces[0][1].shape[1]
-    na = _order_matrix(config.na, ny, ny, "na")
-    nb = _order_matrix(config.nb, ny, nu, "nb")
-    nk = _order_matrix(config.nk, ny, nu, "nk")
-    theta: list[np.ndarray] = []
-    rank_deficient = False
-    worst_orth = 0.0
-    sq_sum = 0.0
-    n_res = 0
-    for i in range(ny):
-        n_params = int(na[i].sum() + nb[i].sum())
-        if n_params == 0:
-            raise ValueError(f"output {i} has no regressors (na and nb all zero)")
-        k0 = _row_start(na, nb, nk, i)
-        blocks: list[np.ndarray] = []
-        targets: list[np.ndarray] = []
-        for uu, yy in traces:
-            n = uu.shape[0]
-            if n <= k0:  # no full regressor row (and a slice would wrap around)
-                continue
-            cols = [yy[k0 - lag:n - lag, j]
-                    for j in range(ny) for lag in range(1, na[i, j] + 1)]
-            cols += [uu[k0 - nk[i, j] - lag:n - nk[i, j] - lag, j]
-                     for j in range(nu) for lag in range(nb[i, j])]
-            blocks.append(np.column_stack(cols))
-            targets.append(yy[k0:n, i])
-        n_rows = sum(block.shape[0] for block in blocks)
-        if n_rows < n_params:
-            raise ValueError(
-                f"output {i}: {n_rows} regression rows for {n_params} coefficients")
-        phi = np.vstack(blocks)
-        tgt = np.concatenate(targets)
-        th, _, rank, _ = np.linalg.lstsq(phi, tgt, rcond=None)
-        rank_deficient = rank_deficient or rank < n_params
-        resid = tgt - phi @ th
-        scale = max(1.0, float(np.linalg.norm(phi.T @ tgt)))
-        worst_orth = max(worst_orth, float(np.linalg.norm(phi.T @ resid)) / scale)
-        sq_sum += float(resid @ resid)
-        n_res += resid.size
-        theta.append(th)
-    rms = float(np.sqrt(sq_sum / n_res)) if n_res else 0.0
+    na, nb, nk = config.na, config.nb, config.nk
+    if min(na, nb, nk) < 0:
+        raise ValueError(f"orders must be >= 0, got na={na}, nb={nb}, nk={nk}")
+    n_params = na + nb
+    if n_params == 0:
+        raise ValueError("no regressors (na and nb both zero)")
+    k0 = _row_start(na, nb, nk)
+    blocks: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    for uu, yy in traces:
+        n = uu.size
+        if n <= k0:  # no full regressor row (and a slice would wrap around)
+            continue
+        cols = [yy[k0 - lag:n - lag] for lag in range(1, na + 1)]
+        cols += [uu[k0 - nk - lag:n - nk - lag] for lag in range(nb)]
+        blocks.append(np.column_stack(cols))
+        targets.append(yy[k0:n])
+    n_rows = sum(block.shape[0] for block in blocks)
+    if n_rows < n_params:
+        raise ValueError(f"{n_rows} regression rows for {n_params} coefficients")
+    phi = np.vstack(blocks)
+    tgt = np.concatenate(targets)
+    theta, _, rank, _ = np.linalg.lstsq(phi, tgt, rcond=None)
+    resid = tgt - phi @ theta
+    scale = max(1.0, float(np.linalg.norm(phi.T @ tgt)))
     return ArxModel(na=na, nb=nb, nk=nk, theta=theta,
-                    rank_deficient=rank_deficient,
-                    residual_orthogonality=worst_orth, residual_rms=rms)
+                    rank_deficient=rank < n_params,
+                    residual_orthogonality=float(np.linalg.norm(phi.T @ resid)) / scale,
+                    residual_rms=float(np.sqrt(float(resid @ resid) / resid.size)))
 
 
 def simulate_arx(model: ArxModel, u) -> np.ndarray:
-    """Free-run simulation: predictions are fed back recursively and all
-    lags before the trace start are zero.
-
-    Returns an array matching the input layout: (N,) for single-output
-    models driven by 1-D input, else (N, ny).
-    """
-    arr = np.asarray(u, dtype=float)
-    squeeze = arr.ndim == 1 and model.ny == 1
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape[1] != model.nu:
-        raise ValueError(f"input has {arr.shape[1]} channels, model expects {model.nu}")
-    n = arr.shape[0]
-    if model.ny == 1 and model.nu == 1:
-        y = lfilter(*model.siso_filter(), arr[:, 0])
-        return y if squeeze else y[:, None]
-    y = np.zeros((n, model.ny))
-    for k in range(n):
-        for i in range(model.ny):
-            acc = 0.0
-            pos = 0
-            th = model.theta[i]
-            for j in range(model.ny):
-                for lag in range(1, model.na[i, j] + 1):
-                    if k - lag >= 0:
-                        acc += th[pos] * y[k - lag, j]
-                    pos += 1
-            for j in range(model.nu):
-                for lag in range(model.nb[i, j]):
-                    idx = k - model.nk[i, j] - lag
-                    if idx >= 0:
-                        acc += th[pos] * arr[idx, j]
-                    pos += 1
-            y[k, i] = acc
-    return y[:, 0] if squeeze else y
+    """Free-run simulation of a 1-D input: predictions are fed back
+    recursively and all lags before the trace start are zero."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise ValueError("input must be 1-D (single-input single-output)")
+    return lfilter(*model.siso_filter(), u)

@@ -2,10 +2,9 @@
 
 The loop runs a handful of real simulations, fits a cheap ARX surrogate on
 everything observed so far, hunts for a requirement violation on the
-surrogate (simulated annealing by default), then confirms the single best
-candidate on the real system.  Only real simulations count against the
-falsification budget; a trial succeeds the moment a real run has negative
-robustness.
+surrogate by simulated annealing, then confirms the single best candidate
+on the real system.  Only real simulations count against the falsification
+budget; a trial succeeds the moment a real run has negative robustness.
 
 The surrogate pays off only if a surrogate call is far cheaper than a real
 one, so nothing fixed is rebuilt per call: each trial compiles the
@@ -47,32 +46,23 @@ class SignalParam:
 
     control_points: int = 5
     interpolation: str = "constant"
-    lower: float | tuple[float, ...] = 0.0
-    upper: float | tuple[float, ...] = 1.0
+    lower: float = 0.0
+    upper: float = 1.0
     horizon: float = 50.0
     period: float = 1.0
-    channels: int = 1
 
     def validate(self) -> None:
         if self.control_points < 1:
             raise ValueError("control_points must be >= 1")
         if self.interpolation not in ("constant", "linear"):
             raise ValueError(f"unknown interpolation: {self.interpolation!r}")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
         if self.period <= 0 or self.horizon <= 0:
             raise ValueError("period and horizon must be positive")
         n = self.horizon / self.period
         if abs(n - round(n)) > 1e-9:
             raise ValueError("horizon must be a multiple of the sample period")
-        lo, hi = self._bounds()
-        if np.any(lo >= hi):
+        if self.lower >= self.upper:
             raise ValueError("amplitude bounds must satisfy lower < upper")
-
-    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.channels,))
-        hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.channels,))
-        return lo, hi
 
     @property
     def n_samples(self) -> int:
@@ -98,35 +88,27 @@ class SignalParam:
         seg.flags.writeable = False
         return seg
 
-    @property
-    def dim(self) -> int:
-        return self.control_points * self.channels
-
     def theta_space(self) -> SearchSpace:
-        """Box over the flattened control-point vector."""
+        """Box over the control-point vector."""
         self.validate()
-        lo, hi = self._bounds()
-        return SearchSpace(np.tile(lo, self.control_points),
-                           np.tile(hi, self.control_points))
+        return SearchSpace(np.full(self.control_points, self.lower),
+                           np.full(self.control_points, self.upper))
 
 
 def build_signal(param: SignalParam, theta) -> np.ndarray:
-    """Expand a control-point vector to the sampled input signal.
+    """Expand a control-point vector to the sampled (n_samples,) input
+    signal; a vector of the wrong length raises `ValueError`.
 
-    Returns (n_samples,) for one channel, else (n_samples, channels).
     `param` must already be valid (`SignalParam.validate`): this runs once
     per real simulation and does not check it again.  The surrogate search
     expands theta itself (`surrogate_objective`), through the same cached
     `sample_index` / `sample_times`.
     """
-    th = np.asarray(theta, dtype=float).reshape(param.control_points, param.channels)
+    th = np.asarray(theta, dtype=float).reshape(param.control_points)
     if param.holds_points:
-        out = th[param.sample_index]
-    else:
-        nodes = np.linspace(0.0, param.horizon, param.control_points)
-        out = np.column_stack([np.interp(param.sample_times, nodes, th[:, c])
-                               for c in range(param.channels)])
-    return out[:, 0] if param.channels == 1 else out
+        return th[param.sample_index]
+    nodes = np.linspace(0.0, param.horizon, param.control_points)
+    return np.interp(param.sample_times, nodes, th)
 
 
 # ---------- benchmark systems ----------
@@ -210,6 +192,7 @@ def random_minimize(fun: Callable[[np.ndarray], float], space: SearchSpace,
     return best_x, best_f, budget
 
 
+# `falsify` calls `anneal_minimize` itself; perfbench/ traces through this table
 OPTIMIZERS: dict[str, Callable] = {
     "anneal": anneal_minimize,
     "random": random_minimize,
@@ -224,8 +207,6 @@ def _compile_trial(requirement: Formula, signal: SignalParam,
     """Check a trial's inputs before any simulation; returns the requirement
     compiled for one output signal of `signal.n_samples` samples."""
     signal.validate()
-    if signal.channels != 1:
-        raise ValueError("falsification is single-input: signal.channels must be 1")
     if real_budget < 1:
         raise ValueError("real_budget must be >= 1")
     return compile_requirement(requirement, signal.period, signal.n_samples)
@@ -272,17 +253,16 @@ class FalsifyResult:
 def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
             signal: SignalParam, *, real_budget: int = 300,
             surrogate_budget: int = 300, arx: ArxConfig | None = None,
-            optimizer: str = "anneal",
             n_initial: int = 2, seed: int = 0) -> FalsifyResult:
     """Surrogate-guided falsification of `requirement` on `sut`.
 
     The initial dataset is `n_initial` Latin-Hypercube input signals run on
     the real system (each counts against `real_budget`; the trial ends early
     if one already violates).  Every refinement round refits the ARX
-    surrogate on all real data, minimizes surrogate robustness with at most
-    `surrogate_budget` surrogate simulations, then confirms the single best
-    candidate with one real simulation.  `optimizer` names an entry of
-    `OPTIMIZERS`.
+    surrogate on all real data, minimizes surrogate robustness by simulated
+    annealing (`anneal_minimize`) with at most `surrogate_budget` surrogate
+    simulations, then confirms the single best candidate with one real
+    simulation.
 
     The requirement and the sample grid are compiled once per trial, before
     any simulation, and the surrogate's filter once per round (see
@@ -290,9 +270,9 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
     checks the trace the system returns.
 
     Raises:
-        ValueError: invalid signal, `signal.channels` other than 1, a
-            requirement the sampled output cannot be scored against, or
-            non-positive budgets; all before the first simulation.
+        ValueError: invalid signal, a requirement the sampled output cannot
+            be scored against, or non-positive budgets; all before the first
+            simulation.
 
     Returns:
         FalsifyResult; `falsified` is decided only by real robustness < 0
@@ -301,7 +281,6 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
     compiled_rho = _compile_trial(requirement, signal, real_budget)
     if n_initial < 1:
         raise ValueError("n_initial must be >= 1")
-    opt = OPTIMIZERS[optimizer]
     rng = np.random.default_rng(seed)
     space = signal.theta_space()
 
@@ -332,8 +311,9 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
     while real < real_budget:
         round_idx += 1
         model = fit_arx(us, ys, arx)
-        cand, cand_rho, _ = opt(surrogate_objective(model, compiled_rho, signal),
-                                space, surrogate_budget, rng, init=best_theta)
+        cand, cand_rho, _ = anneal_minimize(
+            surrogate_objective(model, compiled_rho, signal),
+            space, surrogate_budget, rng, init=best_theta)
         u = build_signal(signal, cand)
         y = sut(u)
         real += 1

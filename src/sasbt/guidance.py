@@ -234,7 +234,6 @@ class StageRecord:
 @dataclass
 class DtResult:
     archive: EvaluationArchive
-    regions: list[CriticalRegion]  # from the final refit
     stages: list[StageRecord]
     iterations: list[dict]  # per outer iteration: regions + evaluation spend
 
@@ -301,8 +300,8 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
     the next run would overshoot it.
 
     Returns:
-        DtResult with the shared archive, final regions, stage records
-        and per-iteration region reports.
+        DtResult with the shared archive, stage records and per-iteration
+        region reports.
     """
     config = config or DtConfig()
     config.validate()
@@ -325,7 +324,6 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
 
     pop = config.search.population
     gens = config.search.generations
-    regions: list[CriticalRegion] = []
     iteration = 0
     while True:
         iteration += 1
@@ -379,10 +377,4 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
             ran_any = True
         if stopped or not ran_any:
             break
-
-    # final refit so the reported regions reflect every evaluation made
-    tree = fit_tree(archive.genome_array(), archive.critical_array(),
-                    config.max_depth, config.min_samples_leaf)
-    regions = extract_regions(tree, space, config.region_threshold)
-    return DtResult(archive=archive, regions=regions, stages=stages,
-                    iterations=iterations)
+    return DtResult(archive=archive, stages=stages, iterations=iterations)

@@ -170,9 +170,6 @@ class ExperimentConfig:
         if self.requirement is None:
             raise ConfigError("falsify experiments need falsify.requirement")
         self.signal.validate()
-        if self.signal.channels != 1:
-            raise ConfigError("signal.channels must be 1: the benchmark systems "
-                              "are single-input")
         try:
             compile_requirement(self.requirement, self.signal.period,
                                 self.signal.n_samples)
@@ -474,8 +471,7 @@ def run_falsify(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
             res = falsify(sut, config.requirement, config.signal,
                           real_budget=config.real_budget,
                           surrogate_budget=config.surrogate_budget,
-                          arx=config.arx, optimizer=config.method,
-                          n_initial=config.n_initial, seed=seed)
+                          arx=config.arx, n_initial=config.n_initial, seed=seed)
         results.append(res)
         if not quiet:
             print(f"trial {trial}: {'falsified' if res.falsified else 'exhausted'} "

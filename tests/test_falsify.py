@@ -52,23 +52,25 @@ def test_linear_signal_interpolates_between_nodes() -> None:
     assert u[0] == 0.0 and np.isclose(u[6], 10.0 * 6 / 12.5)
 
 
-def test_multi_channel_signal_layout() -> None:
-    p = SignalParam(control_points=2, channels=2, lower=(0.0, -1.0),
-                    upper=(1.0, 1.0), horizon=4.0, period=1.0)
-    u = build_signal(p, [0.1, -0.5, 0.9, 0.5])  # row-major (point, channel)
-    assert u.shape == (5, 2)
-    assert np.array_equal(u[0], [0.1, -0.5])
-    assert np.array_equal(u[-1], [0.9, 0.5])
-    space = p.theta_space()
-    assert p.dim == 4
-    assert np.array_equal(space.lower, [0.0, -1.0, 0.0, -1.0])
-    assert np.array_equal(space.upper, [1.0, 1.0, 1.0, 1.0])
-
-
 def test_single_control_point_is_constant() -> None:
     p = SignalParam(control_points=1, interpolation="linear",
                     lower=0.0, upper=5.0, horizon=10.0, period=1.0)
     assert np.array_equal(build_signal(p, [3.0]), np.full(11, 3.0))
+
+
+def test_two_dimensional_traces_and_wrong_length_theta_are_rejected() -> None:
+    # falsification is single-input single-output: a column trace is an error
+    u = np.ones(20)
+    with pytest.raises(ValueError, match="1-D"):
+        fit_arx(u[:, None], u[:, None], ArxConfig(na=1, nb=1, nk=0))
+    with pytest.raises(ValueError, match="1-D"):
+        fit_arx([u, u[:, None]], [u, u], ArxConfig(na=1, nb=1, nk=0))
+    model = fit_arx(u, u, ArxConfig(na=1, nb=1, nk=0))
+    with pytest.raises(ValueError, match="1-D"):
+        simulate_arx(model, u[:, None])
+    for theta in ([1.0, 2.0], [1.0] * 4, np.ones((3, 2))):
+        with pytest.raises(ValueError):
+            build_signal(SHORT, theta)
 
 
 def test_signal_param_validation() -> None:
@@ -77,7 +79,6 @@ def test_signal_param_validation() -> None:
     for bad in (
         dict(good, control_points=0),
         dict(good, interpolation="cubic"),
-        dict(good, channels=0),
         dict(good, period=0.0),
         dict(good, horizon=10.5),  # not a multiple of the period
         dict(good, lower=2.0),  # lower >= upper
@@ -334,8 +335,6 @@ def test_falsify_validates_arguments() -> None:
 @pytest.mark.parametrize("text, signal, message", [
     ("always[0,11] y0 <= 1", SHORT, "horizon"),
     ("always[0,10] y1 <= 1", SHORT, "signal index 1"),
-    ("always[0,10] y0 <= 1", SignalParam(control_points=2, channels=2, horizon=10.0),
-     "channels must be 1"),
 ])
 def test_unscorable_trials_fail_before_any_simulation(search, text: str,
                                                      signal: SignalParam,

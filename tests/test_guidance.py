@@ -236,9 +236,13 @@ def test_nsga2_dt_focuses_on_critical_box():
     before = crit[:init].mean()
     after = crit[init:].mean()
     assert after > 2 * max(before, 0.02)
-    # the loop should also report at least one region containing the box center
+    # a tree on the returned archive should find a region containing the box center
+    config = _small_config()
+    tree = fit_tree(result.archive.genome_array(), result.archive.critical_array(),
+                    config.max_depth, config.min_samples_leaf)
     center = np.array([(BOX_LO + BOX_HI) / 2] * 2)
-    assert any(r.contains(center) for r in result.regions)
+    assert any(r.contains(center)
+               for r in extract_regions(tree, UNIT2, config.region_threshold))
 
 
 def test_region_stage_rows_stay_inside_their_boxes():

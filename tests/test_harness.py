@@ -132,8 +132,7 @@ FALSIFY_KEYS = EXPERIMENT_KEYS | {
         "system", "requirement", "real_budget", "surrogate_budget", "method",
         "n_initial", "arx_na", "arx_nb", "arx_nk")),
     *(f"signal.{name}" for name in (
-        "control_points", "interpolation", "lower", "upper", "horizon", "period",
-        "channels")),
+        "control_points", "interpolation", "lower", "upper", "horizon", "period")),
 }
 
 
@@ -143,7 +142,7 @@ FALSIFY_KEYS = EXPERIMENT_KEYS | {
 ], ids=["compare", "falsify"])
 def test_each_kind_reads_exactly_its_keys(monkeypatch, text: str,
                                           expected: set[str]) -> None:
-    assert (len(COMPARE_KEYS), len(FALSIFY_KEYS)) == (35, 19)
+    assert (len(COMPARE_KEYS), len(FALSIFY_KEYS)) == (35, 18)
     read: set[str] = set()
     get = harness._Cfg.get
 
@@ -220,7 +219,9 @@ def test_falsify_config_requires_requirement_and_known_system() -> None:
      r"falsify\.requirement: trace shorter than the formula horizon"),
     ("y1 <= 17", "",
      r"falsify\.requirement: signal index 1 outside trace with 1 signals"),
-    ("always[0,50] y0 <= 17", "signal.channels = 2\n", r"signal\.channels must be 1"),
+    # falsification is single-input: there is no channel count to set
+    ("always[0,50] y0 <= 17", "signal.channels = 1\n",
+     r"unknown config keys: signal\.channels"),
 ], ids=["horizon", "signal-index", "channels"])
 def test_falsify_config_rejects_unscorable_requirement_and_channels(
         tmp_path: Path, monkeypatch, capsys, requirement: str, extra: str,
