@@ -103,6 +103,51 @@ def test_input_delay_is_respected() -> None:
     assert np.allclose(simulate_arx(model, u), y, atol=1e-10)
 
 
+def test_pure_fir_model_round_trip() -> None:
+    # na = 0: the fit is an input-only regression and the free run a convolution
+    rng = np.random.default_rng(13)
+    u = rng.normal(size=120)
+    y = recursion_oracle(u, a=[], b=[2.0, -0.5, 0.25], nk=1)
+    model = fit_arx(u, y, ArxConfig(na=0, nb=3, nk=1))
+    a, b = model.siso_coefficients()
+    assert a.size == 0
+    assert np.allclose(b, [2.0, -0.5, 0.25], atol=1e-10)
+    assert model.siso_filter()[1].tolist() == [1.0]
+    assert np.allclose(simulate_arx(model, u), y, atol=1e-10)
+
+
+def test_traces_of_different_lengths_are_pooled() -> None:
+    # every full regressor row of a piece is an exact equation of the system,
+    # and a piece too short for one full row contributes nothing
+    u, y = make_siso_data(seed=11, n=60)
+    cuts = [(0, 25), (25, 27), (27, 60)]
+    us, ys = [u[i:j] for i, j in cuts], [y[i:j] for i, j in cuts]
+    config = ArxConfig(na=2, nb=2, nk=1)
+    model = fit_arx(us, ys, config)
+    a, b = model.siso_coefficients()
+    assert np.allclose(a, A_TRUE, atol=1e-8)
+    assert np.allclose(b, B_TRUE, atol=1e-8)
+    without_short = fit_arx([us[0], us[2]], [ys[0], ys[2]], config)
+    np.testing.assert_array_equal(model.theta, without_short.theta)
+
+
+def test_siso_rows_counts_the_fit_rows() -> None:
+    # the harness sizes a falsify run's initial dataset with siso_rows
+    rng = np.random.default_rng(31)
+    for na, nb, nk in [(2, 2, 1), (0, 1, 3), (2, 0, 0), (0, 3, 0), (1, 2, 2)]:
+        config = ArxConfig(na=na, nb=nb, nk=nk)
+        k0 = max([na] + ([nk + nb - 1] if nb else []))
+        for n in range(8):
+            rows = arx.siso_rows(config, n)
+            assert rows == max(0, n - k0)
+            u, y = rng.normal(size=n), rng.normal(size=n)
+            if rows < na + nb:
+                with pytest.raises(ValueError, match=f"^{rows} regression rows"):
+                    fit_arx(u, y, config)
+            else:
+                assert fit_arx(u, y, config).theta.shape == (na + nb,)
+
+
 # ---------- simulation ----------
 
 
@@ -120,6 +165,42 @@ def test_simulation_matches_recursion_oracle() -> None:
         u = rng.normal(size=80)
         assert np.allclose(simulate_arx(model, u), recursion_oracle(u, a, b, nk),
                            atol=1e-12)
+
+
+def test_simulation_output_layout() -> None:
+    u, y = make_siso_data(seed=19, n=50)
+    model = fit_arx(u, y, ArxConfig(na=2, nb=2, nk=1))
+    flat = simulate_arx(model, u)
+    assert flat.shape == (50,) and flat.dtype == np.float64
+    assert np.array_equal(flat, simulate_arx(model, u.tolist()))
+    assert np.array_equal(simulate_arx(model, u[:1]), flat[:1])
+
+
+def test_simulation_channel_mismatch_rejected() -> None:
+    # a single-input model takes exactly one input channel
+    u, y = make_siso_data(seed=21, n=50)
+    model = fit_arx(u, y, ArxConfig(na=1, nb=1, nk=1))
+    for bad in (np.zeros((10, 2)), np.zeros((10, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="1-D"):
+            simulate_arx(model, bad)
+
+
+def test_siso_filter_holds_delay_zeros_and_negated_feedback() -> None:
+    def model(na: int, nb: int, nk: int, theta) -> ArxModel:
+        return ArxModel(na=na, nb=nb, nk=nk, theta=np.array(theta, dtype=float),
+                        rank_deficient=False, residual_orthogonality=0.0,
+                        residual_rms=0.0)
+
+    m = model(2, 2, 3, [0.5, 0.2, 1.0, 0.3])
+    a, b = m.siso_coefficients()
+    assert a.tolist() == [0.5, 0.2] and b.tolist() == [1.0, 0.3]
+    num, den = m.siso_filter()
+    assert num.tolist() == [0.0, 0.0, 0.0, 1.0, 0.3]
+    assert den.tolist() == [1.0, -0.5, -0.2]
+    # no input terms and no delay: one zero numerator tap, an all-zero free run
+    num, den = model(1, 0, 0, [0.5]).siso_filter()
+    assert num.tolist() == [0.0] and den.tolist() == [1.0, -0.5]
+    assert not simulate_arx(model(1, 0, 0, [0.5]), np.ones(6)).any()
 
 
 # ---------- the lfilter helper ----------

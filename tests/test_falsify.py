@@ -52,6 +52,18 @@ def test_linear_signal_interpolates_between_nodes() -> None:
     assert u[0] == 0.0 and np.isclose(u[6], 10.0 * 6 / 12.5)
 
 
+def test_signal_layout_and_theta_space() -> None:
+    p = SignalParam(control_points=2, lower=-1.0, upper=1.0, horizon=4.0, period=0.5)
+    u = build_signal(p, [0.1, -0.5])
+    assert u.shape == (p.n_samples,) == (9,)
+    assert np.array_equal(u, [0.1] * 4 + [-0.5] * 5)  # two 2 s segments
+    space = p.theta_space()
+    assert np.array_equal(space.lower, [-1.0, -1.0])
+    assert np.array_equal(space.upper, [1.0, 1.0])
+    with pytest.raises(ValueError, match="lower < upper"):
+        SignalParam(control_points=2, lower=1.0, upper=1.0).theta_space()
+
+
 def test_single_control_point_is_constant() -> None:
     p = SignalParam(control_points=1, interpolation="linear",
                     lower=0.0, upper=5.0, horizon=10.0, period=1.0)
@@ -335,6 +347,8 @@ def test_falsify_validates_arguments() -> None:
 @pytest.mark.parametrize("text, signal, message", [
     ("always[0,11] y0 <= 1", SHORT, "horizon"),
     ("always[0,10] y1 <= 1", SHORT, "signal index 1"),
+    ("always[0,10] y0 <= 1", SignalParam(control_points=0, horizon=10.0),
+     "control_points"),
 ])
 def test_unscorable_trials_fail_before_any_simulation(search, text: str,
                                                      signal: SignalParam,
