@@ -23,7 +23,13 @@ were recorded while `arx.lfilter` still sent such filters through public
 `scipy.signal.lfilter`.  Its report.json and stats.csv equal
 `falsify_tank_long`'s because report.json records no ARX orders.
 
-The five runs take a few seconds in total.
+`compare_small` runs small populations.  `compare_default_1rep` is
+`compare_default.cfg` with one repetition, the benchmark's compare-default
+inputs: a population-40 plain search and 20-member, four-generation region
+runs.  Its digests were recorded from the code in which a population was
+still a list of `Individual` copies of archive rows.
+
+The six runs take a few seconds in total.
 """
 
 import hashlib
@@ -39,11 +45,20 @@ LONG = {"falsify.requirement": "always[0,50] y0 <= 24", "falsify.real_budget": "
         "experiment.repetitions": "2"}
 # name -> (bundled config, overridden keys); the other names run their config as is
 DERIVED = {
+    "compare_default_1rep": ("compare_default", {"experiment.repetitions": "1"}),
     "falsify_tank_long": ("falsify_tank", LONG),
     "falsify_tank_long_fir": ("falsify_tank", {**LONG, "falsify.arx_na": "0"}),
 }
 
 GOLDEN = {
+    "compare_default_1rep": {
+        "archive_nsga2-r00.csv": "ae1778864307244ee3bbbefbc8f76522cff63f06e416d6d4ea519990321f2ac5",
+        "archive_nsga2dt-r00.csv": "efee675c176c4c8c07f4fee4447b1ef92490cceafc495fd763a2baedb1685f2d",
+        "plots.csv": "973af247301cfac09efa757059f42e2329cfb96dabcedde720d73c8635f795f4",
+        "regions.json": "c72c656c1041ff9c034da215ed71f76b39ac61006fc5d0581c9fd28254ecfe43",
+        "report.json": "2e4551fe0d1d9bc96b668138040e4f9e4dbbce5f0c0016e66df1be696b38c191",
+        "snapshots.csv": "063355cb9341207ea2109ca79b615f874bdafb4270bc5734ff5a4e626c9781b1",
+    },
     "compare_small": {
         "archive_nsga2-r00.csv": "7a7e118cef295482ae85faf987a70c6141e37a8383623a90c9e9379ae121e9c9",
         "archive_nsga2-r01.csv": "5f391a1895bd0235435f785efb2629afd4bc21630d77cc1be591651a576e42ef",
