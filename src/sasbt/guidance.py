@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import indicators
-from .search import (EvaluationArchive, Evaluator, Individual, SearchConfig,
-                     SearchSpace, evolve, lhs_sample, non_dominated_sort)
+from .search import (EvaluationArchive, Evaluator, SearchConfig, SearchSpace,
+                     evolve, lhs_sample, non_dominated_sort)
 
 
 # ---------- CART ----------
@@ -219,16 +219,12 @@ class DtConfig:
 class StageRecord:
     """One budget-consuming stage; checkpoints are archive lengths at the
     initial population and after each generation (a single checkpoint for
-    sampling stages)."""
+    sampling stages).  The rows a stage appends carry its index as run id."""
 
     kind: str  # "init" | "region" | "global"
     iteration: int
     region_index: int | None
-    start: int
-    end: int
     checkpoints: list[int]
-    box: tuple | None = None
-    critical_fraction: float | None = None
 
 
 @dataclass
@@ -238,23 +234,19 @@ class DtResult:
     iterations: list[dict]  # per outer iteration: regions + evaluation spend
 
 
-def _seed_individuals(archive: EvaluationArchive, region: CriticalRegion,
-                      limit: int) -> list[Individual]:
-    """Up to `limit` archive members inside the region's closed box, by
+def _seed_rows(archive: EvaluationArchive, box: SearchSpace,
+               limit: int) -> np.ndarray:
+    """Rows of up to `limit` archive members inside the closed box, by
     non-domination rank and then by archive row."""
     genomes = archive.genome_array()
-    inside = np.flatnonzero(np.all((genomes >= region.lower)
-                                   & (genomes <= region.upper), axis=1))
+    inside = np.flatnonzero(np.all((genomes >= box.lower)
+                                   & (genomes <= box.upper), axis=1))
     if inside.size == 0:
-        return []
+        return inside
     ranks = np.empty(inside.size, dtype=int)
     for rank, front in enumerate(non_dominated_sort(archive.objective_array()[inside])):
         ranks[front] = rank
-    picked = inside[np.argsort(ranks, kind="stable")[:limit]]
-    return [Individual(genome=archive.genomes[i].copy(),
-                       objectives=archive.objectives[i].copy(),
-                       critical=archive.critical[i],
-                       eval_index=int(i)) for i in picked]
+    return inside[np.argsort(ranks, kind="stable")[:limit]]
 
 
 def stage_checkpoints(stages: list[StageRecord]) -> list[tuple[str, int]]:
@@ -296,8 +288,8 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
     the region box (fittest first by dominance rank, then oldest) topped up
     by LHS.  Seeded members are reused without re-simulation.  When no
     region qualifies, one whole-space run seeded the same way keeps the
-    optimization moving.  The loop stops when the budget is exhausted or
-    the next run would overshoot it.
+    optimization moving.  The loop stops at the first run that would
+    overshoot the budget.
 
     Returns:
         DtResult with the shared archive, stage records and per-iteration
@@ -310,17 +302,11 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
     stages: list[StageRecord] = []
     iterations: list[dict] = []
 
-    def spend_lhs(n: int, kind: str, iteration: int) -> None:
-        start = len(archive)
-        for genome in lhs_sample(space, n, rng):
-            objs, critical = evaluator(genome)
-            archive.append(genome, np.asarray(objs, dtype=float), critical,
-                           run_id=len(stages))
-        stages.append(StageRecord(kind=kind, iteration=iteration,
-                                  region_index=None, start=start,
-                                  end=len(archive), checkpoints=[len(archive)]))
-
-    spend_lhs(config.initial_lhs, "init", 0)
+    for genome in lhs_sample(space, config.initial_lhs, rng):
+        objs, critical = evaluator(genome)
+        archive.append(genome, objs, critical, run_id=0)
+    stages.append(StageRecord(kind="init", iteration=0, region_index=None,
+                              checkpoints=[len(archive)]))
 
     pop = config.search.population
     gens = config.search.generations
@@ -340,41 +326,23 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
                   "evaluations_before": len(archive),
                   "region_runs": 0}
         iterations.append(report)
-        if regions:
-            runs = list(enumerate(regions))
-        else:
-            # no leaf qualified: fall back to one whole-space run seeded
-            # from the fittest archive members so the budget keeps working
-            whole = CriticalRegion(
-                lower=space.lower.copy(), upper=space.upper.copy(),
-                n_critical=int(archive.critical_array().sum()),
-                n_total=len(archive))
-            runs = [(None, whole)]
-        stopped = False
-        ran_any = False
-        for r_idx, region in runs:
-            seeds = _seed_individuals(archive, region, pop)
-            cost = (pop - len(seeds)) + pop * gens
-            if len(archive) + cost > config.budget:
-                stopped = True
-                break
-            start = len(archive)
+        # no leaf qualified: fall back to one whole-space run seeded from
+        # the fittest archive members so the budget keeps working
+        runs = ([(i, r.as_space(space.names)) for i, r in enumerate(regions)]
+                or [(None, space)])
+        for r_idx, box in runs:
+            seeds = _seed_rows(archive, box, pop)
+            first = len(archive) + pop - len(seeds)  # archive length at g00
+            if first + pop * gens > config.budget:
+                return DtResult(archive=archive, stages=stages,
+                                iterations=iterations)
             run_cfg = replace(config.search,
                               seed=int(rng.integers(2 ** 63 - 1)))
-            evolve(region.as_space(space.names), run_cfg, evaluator,
-                   seeds=seeds, archive=archive, run_id=len(stages))
-            checkpoints = [start + (pop - len(seeds))]
-            for g in range(gens):
-                checkpoints.append(checkpoints[0] + (g + 1) * pop)
+            evolve(box, run_cfg, evaluator, seeds=seeds, archive=archive,
+                   run_id=len(stages))
             stages.append(StageRecord(
                 kind="region" if r_idx is not None else "global",
                 iteration=iteration, region_index=r_idx,
-                start=start, end=len(archive), checkpoints=checkpoints,
-                box=(region.lower.tolist(), region.upper.tolist()),
-                critical_fraction=region.critical_fraction))
+                checkpoints=[first + g * pop for g in range(gens + 1)]))
             if r_idx is not None:
                 report["region_runs"] += 1
-            ran_any = True
-        if stopped or not ran_any:
-            break
-    return DtResult(archive=archive, stages=stages, iterations=iterations)

@@ -4,7 +4,9 @@ Implements the NSGA-II machinery used by both the plain scenario search and
 the decision-tree-guided variant: Latin Hypercube initialization, fast
 non-dominated sorting, crowding distance, binary tournament selection,
 simulated binary crossover (SBX) and polynomial mutation, plus an append-only
-archive of every real evaluation made during a run.
+archive of every real evaluation made during a run.  The archive is the only
+record of an evaluation: a population is a list of archive row indices, and
+a genome or objective vector is read from the archive when it is needed.
 
 All randomness flows through a single :class:`numpy.random.Generator` seeded
 from the config, so identical configs reproduce identical archives bit for
@@ -81,26 +83,17 @@ class SearchConfig:
             raise ValueError(f"mutation_prob outside [0, 1]: {self.mutation_prob}")
 
 
-# ---------- individuals and archive ----------
-
-
-@dataclass
-class Individual:
-    genome: np.ndarray
-    objectives: np.ndarray
-    critical: bool
-    eval_index: int  # position in the archive; also the determinism tie-break
-    rank: int = 0
-    crowding: float = 0.0
+# ---------- archive ----------
 
 
 @dataclass
 class EvaluationArchive:
     """Append-only log of every real evaluation.
 
-    Rows are recorded in evaluation order; `eval_index` of an individual is
-    its row number here.  The archive is the single source of truth for
-    budget accounting and for all post-hoc indicator computation.
+    Rows are recorded in evaluation order; a row's number (`eval_index` in
+    the CSV) is how populations refer to it and the determinism tie-break of
+    selection.  The archive is the single source of truth for budget
+    accounting and for all post-hoc indicator computation.
     """
 
     genomes: list[np.ndarray] = field(default_factory=list)
@@ -264,46 +257,48 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     return dist
 
 
-def assign_rank_and_crowding(population: list[Individual]) -> list[np.ndarray]:
-    objs = np.asarray([ind.objectives for ind in population])
+def rank_and_crowding(objectives: np.ndarray,
+                      ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Fronts of an (N, m) objective matrix, with every position's rank
+    (front number) and crowding distance within its front."""
+    objs = np.asarray(objectives, dtype=float)
     fronts = non_dominated_sort(objs)
-    for rank, front in enumerate(fronts):
-        crowd = crowding_distance(objs[front])
-        for local, idx in enumerate(front):
-            population[idx].rank = rank
-            population[idx].crowding = float(crowd[local])
-    return fronts
+    rank = np.empty(len(objs), dtype=int)
+    crowding = np.empty(len(objs))
+    for r, front in enumerate(fronts):
+        rank[front] = r
+        crowding[front] = crowding_distance(objs[front])
+    return fronts, rank, crowding
 
 
-def environmental_selection(population: list[Individual], n: int) -> list[Individual]:
-    """Pick the n survivors: whole fronts in rank order, boundary front by
-    descending crowding (ties by ascending eval_index)."""
-    fronts = assign_rank_and_crowding(population)
-    chosen: list[Individual] = []
+def environmental_selection(fronts: list[np.ndarray], crowding: np.ndarray,
+                            rows: Sequence[int], n: int) -> list[int]:
+    """Positions of the n survivors: whole fronts in rank order, boundary
+    front by descending crowding (ties by ascending archive row)."""
+    chosen: list[int] = []
     for front in fronts:
-        members = [population[i] for i in front]
-        if len(chosen) + len(members) <= n:
-            chosen.extend(members)
+        if len(chosen) + len(front) <= n:
+            chosen.extend(front)
         else:
-            members.sort(key=lambda ind: (-ind.crowding, ind.eval_index))
-            chosen.extend(members[: n - len(chosen)])
+            front = sorted(front, key=lambda i: (-crowding[i], rows[i]))
+            chosen.extend(front[: n - len(chosen)])
             break
     return chosen
 
 
-def _beats(a: Individual, b: Individual) -> bool:
-    if a.rank != b.rank:
-        return a.rank < b.rank
-    if a.crowding != b.crowding:
-        return a.crowding > b.crowding
-    return a.eval_index < b.eval_index
-
-
-def _tournament(rng: np.random.Generator, population: list[Individual]) -> Individual:
-    i = int(rng.integers(len(population)))
-    j = int(rng.integers(len(population)))
-    a, b = population[i], population[j]
-    return a if _beats(a, b) else b
+def _tournament(rng: np.random.Generator, rows: Sequence[int],
+                rank: np.ndarray, crowding: np.ndarray) -> int:
+    """Archive row of the winner of one binary tournament: lower rank, then
+    larger crowding, then lower archive row."""
+    i = int(rng.integers(len(rows)))
+    j = int(rng.integers(len(rows)))
+    if rank[i] != rank[j]:
+        wins = rank[i] < rank[j]
+    elif crowding[i] != crowding[j]:
+        wins = crowding[i] > crowding[j]
+    else:
+        wins = rows[i] < rows[j]
+    return rows[i] if wins else rows[j]
 
 
 # ---------- variation operators ----------
@@ -349,64 +344,67 @@ def _polynomial_mutation(rng: np.random.Generator, x: np.ndarray,
 
 
 def evolve(space: SearchSpace, config: SearchConfig, evaluator: Evaluator, *,
-           seeds: Sequence[Individual] | None = None,
+           seeds: Sequence[int] = (),
            archive: EvaluationArchive | None = None,
-           run_id: int = 0) -> tuple[list[Individual], EvaluationArchive]:
+           run_id: int = 0) -> tuple[list[int], EvaluationArchive]:
     """Run one NSGA-II search and log every evaluation.
 
-    The initial population is Latin-Hypercube sampled; `seeds` (already
-    evaluated individuals, e.g. archive members inside a region) are reused
-    as-is without re-simulation, and the population is topped up by LHS.
-    Each generation evaluates exactly `population` fresh offspring, so a run
-    without seeds appends population x (generations + 1) archive rows.
+    A population is a list of archive rows.  The initial population is
+    `seeds` (rows of `archive` already evaluated, e.g. members inside a
+    region), reused without re-simulation and topped up by Latin Hypercube
+    samples.  Each generation evaluates exactly `population` fresh
+    offspring, so a run appends (population - len(seeds)) + population x
+    generations archive rows.
 
     Args:
         space: decision-variable box; offspring are clamped into it.
         config: NSGA-II parameters; `mutation_prob` defaults to 1/dim.
         evaluator: pure map genome -> (objectives, critical).
-        seeds: optional pre-evaluated individuals to include in generation 0.
+        seeds: at most `population` rows of `archive` for generation 0.
         archive: optional shared archive to append into (created if None).
         run_id: tag recorded with every appended row.
 
     Returns:
-        (final population, archive).
+        (archive rows of the final population, archive).
     """
     config.validate()
     if archive is None:
         archive = EvaluationArchive()
+    if len(seeds) > config.population:
+        raise ValueError("more seeds than population slots")
+    if any(not 0 <= row < len(archive) for row in seeds):
+        raise ValueError("seeds must be rows of the archive")
     rng = np.random.default_rng(config.seed)
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.dim
 
-    def evaluate(genome: np.ndarray) -> Individual:
+    def evaluate(genome: np.ndarray) -> int:
         objs, critical = evaluator(genome)
-        objs = np.asarray(objs, dtype=float)
-        idx = archive.append(genome, objs, critical, run_id)
-        return Individual(genome.copy(), objs, bool(critical), idx)
+        return archive.append(genome, objs, critical, run_id)
 
-    population: list[Individual] = []
-    if seeds:
-        if len(seeds) > config.population:
-            raise ValueError("more seeds than population slots")
-        population.extend(seeds)
+    def objectives(rows: list[int]) -> np.ndarray:
+        return np.asarray([archive.objectives[i] for i in rows])
+
+    population = [int(row) for row in seeds]
     n_new = config.population - len(population)
     if n_new > 0:
-        for genome in lhs_sample(space, n_new, rng):
-            population.append(evaluate(genome))
-    assign_rank_and_crowding(population)
+        population += [evaluate(genome) for genome in lhs_sample(space, n_new, rng)]
+    _, rank, crowding = rank_and_crowding(objectives(population))
 
     for _ in range(config.generations):
-        offspring: list[Individual] = []
+        offspring: list[int] = []
         while len(offspring) < config.population:
-            pa = _tournament(rng, population)
-            pb = _tournament(rng, population)
-            c1, c2 = _sbx_pair(rng, pa.genome, pb.genome,
+            pa = _tournament(rng, population, rank, crowding)
+            pb = _tournament(rng, population, rank, crowding)
+            c1, c2 = _sbx_pair(rng, archive.genomes[pa], archive.genomes[pb],
                                config.crossover_prob, config.crossover_index)
             for child in (c1, c2):
-                if len(offspring) >= config.population:
-                    break
                 mutated = _polynomial_mutation(rng, child, space, pm,
                                                config.mutation_index)
                 offspring.append(evaluate(space.clip(mutated)))
-        population = environmental_selection(population + offspring,
-                                             config.population)
+        merged = population + offspring
+        fronts, rank, crowding = rank_and_crowding(objectives(merged))
+        # survivors keep the rank and crowding they have in the merged population
+        keep = environmental_selection(fronts, crowding, merged, config.population)
+        population = [merged[i] for i in keep]
+        rank, crowding = rank[keep], crowding[keep]
     return population, archive

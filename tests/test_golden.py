@@ -27,7 +27,7 @@ were recorded while `arx.lfilter` still sent such filters through public
 `compare_default.cfg` with one repetition, the benchmark's compare-default
 inputs: a population-40 plain search and 20-member, four-generation region
 runs.  Its digests were recorded from the code in which a population was
-still a list of `Individual` copies of archive rows.
+still a list of per-member copies of archive rows.
 
 The six runs take a few seconds in total.
 """

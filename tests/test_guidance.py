@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sasbt.guidance import (CriticalRegion, DtConfig, TreeNode, _best_split,
-                            _seed_individuals,
+                            _seed_rows,
                             extract_regions, fit_tree, leaf_boxes, nsga2_dt,
                             predict_critical, self_referenced_snapshots,
                             stage_checkpoints)
@@ -182,7 +182,7 @@ def _seed_reference(archive, region, limit):
     return [inside[j] for j in order[:limit]]
 
 
-def test_seed_individuals_match_row_by_row_reference():
+def test_seed_rows_match_row_by_row_reference():
     rng = np.random.default_rng(5)
     for trial in range(40):
         archive = EvaluationArchive()
@@ -192,15 +192,10 @@ def test_seed_individuals_match_row_by_row_reference():
             objectives = rng.integers(0, 4, size=2).astype(float)  # rank ties
             archive.append(genome, objectives, bool(rng.random() < 0.3), 0)
         lo = rng.choice(grid[:3], size=3)
-        region = CriticalRegion(lower=lo, upper=lo + rng.choice(grid[1:3], size=3),
-                                n_critical=1, n_total=2)
+        region = SearchSpace(lower=lo, upper=lo + rng.choice(grid[1:3], size=3))
         limit = int(rng.integers(1, 15))
-        seeds = _seed_individuals(archive, region, limit)
-        assert [s.eval_index for s in seeds] == _seed_reference(archive, region, limit)
-        for s in seeds:
-            np.testing.assert_array_equal(s.genome, archive.genomes[s.eval_index])
-            np.testing.assert_array_equal(s.objectives, archive.objectives[s.eval_index])
-            assert s.critical == archive.critical[s.eval_index]
+        seeds = _seed_rows(archive, region, limit)
+        assert seeds.tolist() == _seed_reference(archive, region, limit)
 
 
 # ---------- the guided loop on a synthetic box problem ----------
@@ -248,25 +243,27 @@ def test_nsga2_dt_focuses_on_critical_box():
 def test_region_stage_rows_stay_inside_their_boxes():
     result = nsga2_dt(UNIT2, _box_evaluator, _small_config())
     genomes = result.archive.genome_array()
-    region_stages = [s for s in result.stages if s.kind == "region"]
+    run_ids = np.asarray(result.archive.run_ids)
+    region_stages = [(i, s) for i, s in enumerate(result.stages) if s.kind == "region"]
     assert region_stages, "expected at least one region run"
-    for stage in region_stages:
-        lo = np.array(stage.box[0])
-        hi = np.array(stage.box[1])
-        rows = genomes[stage.start:stage.end]
-        assert (rows >= lo - 1e-12).all() and (rows <= hi + 1e-12).all()
+    for index, stage in region_stages:
+        box = result.iterations[stage.iteration - 1]["regions"][stage.region_index]
+        rows = genomes[run_ids == index]
+        assert len(rows) > 0
+        assert (rows >= np.array(box["lower"])).all()
+        assert (rows <= np.array(box["upper"])).all()
 
 
 def test_stage_bookkeeping_consistent():
     result = nsga2_dt(UNIT2, _box_evaluator, _small_config())
     assert result.stages[0].kind == "init"
-    ends = [s.end for s in result.stages]
-    starts = [s.start for s in result.stages]
-    assert starts[0] == 0
-    assert starts[1:] == ends[:-1]  # stages tile the archive
-    assert ends[-1] == len(result.archive)
-    for stage in result.stages:
-        assert stage.checkpoints[-1] == stage.end
+    run_ids = np.asarray(result.archive.run_ids)
+    assert (np.diff(run_ids) >= 0).all()  # stages append in order
+    assert set(run_ids.tolist()) == set(range(len(result.stages)))
+    for index, stage in enumerate(result.stages):
+        last = int(np.flatnonzero(run_ids == index)[-1])
+        assert stage.checkpoints[-1] == last + 1
+    assert result.stages[-1].checkpoints[-1] == len(result.archive)
     # iteration reports count evaluations monotonically
     evals = [it["evaluations_before"] for it in result.iterations]
     assert evals == sorted(evals)

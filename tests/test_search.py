@@ -4,11 +4,10 @@ and the full NSGA-II loop, checked against brute-force oracles."""
 import numpy as np
 import pytest
 
-from sasbt.search import (EvaluationArchive, Individual, SearchConfig,
-                          SearchSpace, assign_rank_and_crowding,
+from sasbt.search import (EvaluationArchive, SearchConfig, SearchSpace,
                           crowding_distance, dominates,
-                          environmental_selection, evolve, lhs_sample,
-                          non_dominated_sort)
+                          _tournament, environmental_selection, evolve,
+                          lhs_sample, non_dominated_sort, rank_and_crowding)
 
 
 def brute_force_fronts(objs: np.ndarray) -> list[list[int]]:
@@ -94,23 +93,64 @@ def test_lhs_sample_stratification_large_and_bounds():
             assert len(set(strata.tolist())) == 100, "one sample per stratum"
 
 
+def test_rank_and_crowding_per_position():
+    rng = np.random.default_rng(6)
+    objs = rng.integers(0, 5, size=(25, 2)).astype(float)
+    fronts, rank, crowding = rank_and_crowding(objs)
+    assert [sorted(f) for f in fronts] == brute_force_fronts(objs)
+    for r, front in enumerate(fronts):
+        assert (rank[front] == r).all()
+        assert crowding[front].tobytes() == crowding_distance(objs[front]).tobytes()
+
+
 def test_environmental_selection_keeps_first_front():
     rng = np.random.default_rng(5)
-    objs = rng.normal(size=(20, 2))
+    for _ in range(20):
+        objs = rng.normal(size=(20, 2))
+        rows = rng.permutation(100)[:20]
+        fronts, rank, crowding = rank_and_crowding(objs)
+        chosen = environmental_selection(fronts, crowding, rows, 10)
+        assert len(chosen) == len(set(chosen)) == 10
+        first = set(fronts[0].tolist())
+        assert first <= set(chosen) if len(first) <= 10 else set(chosen) <= first
+        # whole fronts before any member of a worse front
+        assert max(rank[chosen]) == min(r for r in range(len(fronts))
+                                        if sum(len(f) for f in fronts[:r + 1]) >= 10)
 
-    class P:
-        def __init__(self, o, i):
-            self.objectives = o
-            self.eval_index = i
-            self.rank = None
-            self.crowding = None
 
-    pop = [P(o, i) for i, o in enumerate(objs)]
-    assign_rank_and_crowding(pop)
-    first = {p.eval_index for p in pop if p.rank == 0}
-    if len(first) <= 10:
-        chosen = environmental_selection(pop, 10)
-        assert first <= {p.eval_index for p in chosen}
+def test_boundary_front_ties_keep_the_lower_archive_rows():
+    # one front of equal points: the two ends of the stable sort are
+    # boundary (infinite crowding), every other member has crowding 0
+    rows = [7, 3, 9, 1, 5, 2]
+    fronts, _, crowding = rank_and_crowding(np.ones((6, 2)))
+    assert len(fronts) == 1
+    assert np.isinf(crowding[[0, 5]]).all() and (crowding[1:5] == 0).all()
+    chosen = environmental_selection(fronts, crowding, rows, 4)
+    assert [rows[i] for i in chosen] == [2, 7, 1, 3]
+
+
+class _ScriptedPicks:
+    """Stands in for the generator: `integers` returns scripted positions."""
+
+    def __init__(self, picks):
+        self.picks = iter(picks)
+
+    def integers(self, n):
+        return next(self.picks)
+
+
+def test_tournament_prefers_rank_then_crowding_then_lower_row():
+    rows = [40, 12, 30, 5]
+    rank = np.array([0, 1, 0, 0])
+    crowding = np.array([1.0, 9.0, 2.0, 2.0])
+
+    def winner(i, j):
+        return _tournament(_ScriptedPicks([i, j]), rows, rank, crowding)
+
+    assert winner(0, 1) == winner(1, 0) == 40  # lower rank beats more crowding
+    assert winner(0, 2) == winner(2, 0) == 30  # larger crowding
+    assert winner(2, 3) == winner(3, 2) == 5   # full tie: lower archive row
+    assert winner(1, 1) == 12
 
 
 def test_archive_roundtrip(tmp_path):
@@ -151,21 +191,59 @@ def test_evolve_archive_length_exact():
 
 def test_evolve_with_seeds_skips_reevaluation():
     cfg = SearchConfig(population=8, generations=3, seed=4)
-    _, first = evolve(SPACE2, cfg, _sphere_evaluator)
-    seeds = [Individual(genome=first.genomes[i], objectives=first.objectives[i],
-                        critical=first.critical[i], eval_index=i)
-             for i in range(5)]
-    _, archive = evolve(SPACE2, cfg, _sphere_evaluator, seeds=seeds)
+    _, archive = evolve(SPACE2, cfg, _sphere_evaluator)
+    n = len(archive)
+    evolve(SPACE2, cfg, _sphere_evaluator, seeds=range(5), archive=archive)
     # 5 seeded members are reused: only (8-5) + 8*3 fresh evaluations
-    assert len(archive) == (8 - 5) + 8 * 3
+    assert len(archive) == n + (8 - 5) + 8 * 3
+
+
+@pytest.mark.parametrize("n_seeds", [0, 3, 8])
+def test_evolve_evaluates_only_fresh_genomes_and_returns_archive_rows(n_seeds):
+    p, g = 8, 3
+    _, archive = evolve(SPACE2, SearchConfig(population=p, generations=1, seed=1),
+                        _sphere_evaluator)
+    before = archive.genome_array().copy()
+    seeds = np.arange(2, 2 + n_seeds)
+    calls = []
+
+    def counting(genome):
+        calls.append(np.array(genome))
+        return _sphere_evaluator(genome)
+
+    population, out = evolve(SPACE2, SearchConfig(population=p, generations=g, seed=2),
+                             counting, seeds=seeds, archive=archive, run_id=9)
+    assert out is archive
+    assert len(calls) == (p - n_seeds) + p * g
+    assert len(archive) == len(before) + len(calls)
+    # the evaluator saw exactly the appended rows, in order, and no seed row
+    np.testing.assert_array_equal(archive.genome_array()[:len(before)], before)
+    np.testing.assert_array_equal(archive.genome_array()[len(before):], calls)
+    assert archive.run_ids[len(before):] == [9] * len(calls)
+    assert len(population) == p
+    assert all(isinstance(row, int) and 0 <= row < len(archive) for row in population)
+    assert len(set(population)) == p
+
+
+def test_evolve_rejects_too_many_or_foreign_seeds():
+    cfg = SearchConfig(population=4, generations=1, seed=0)
+    _, archive = evolve(SPACE2, cfg, _sphere_evaluator)
+    n = len(archive)
+    with pytest.raises(ValueError, match="more seeds"):
+        evolve(SPACE2, cfg, _sphere_evaluator, seeds=range(5), archive=archive)
+    with pytest.raises(ValueError, match="rows of the archive"):
+        evolve(SPACE2, cfg, _sphere_evaluator, seeds=[0, n], archive=archive)
+    with pytest.raises(ValueError, match="rows of the archive"):
+        evolve(SPACE2, cfg, _sphere_evaluator, seeds=[0])
+    assert len(archive) == n
 
 
 def test_evolve_improves_on_bowl():
     # the whole Pareto set lies on the segment between the two bowl centers
     cfg = SearchConfig(population=16, generations=20, seed=7)
-    pop, _ = evolve(SPACE2, cfg, _sphere_evaluator)
-    best_f1 = min(p.objectives[0] for p in pop)
-    best_f2 = min(p.objectives[1] for p in pop)
+    pop, archive = evolve(SPACE2, cfg, _sphere_evaluator)
+    best_f1 = min(archive.objectives[row][0] for row in pop)
+    best_f2 = min(archive.objectives[row][1] for row in pop)
     assert best_f1 < 0.05
     assert best_f2 < 0.05
 
