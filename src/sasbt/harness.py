@@ -487,6 +487,9 @@ def run_falsify(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
         "surrogate_budget": config.surrogate_budget,
         "repetitions": config.repetitions,
         "base_seed": config.base_seed,
+        "n_initial": config.n_initial,
+        "arx": asdict(config.arx),
+        "signal": asdict(config.signal),
     }
     report = _write(out, _falsify_outputs(head, results))
     if not quiet:

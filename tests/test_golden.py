@@ -9,7 +9,10 @@ recorded once from the code before any such change; a change that alters
 numerics on purpose must say so and re-record them.  So far one has been
 re-recorded: `compare_small/report.json`, when the per-run
 `estimated_execution_time_s` (evaluations times a configured constant) left
-report.json.
+report.json, and the four falsify `report.json` digests, when report.json
+began to record the surrogate that produced it (`n_initial`, the ARX orders
+under `arx` and the input signal under `signal`).  No other falsify
+artifact changed.
 
 Those falsify configs end every trial after about three real simulations,
 so each trial runs a single surrogate search.  `falsify_tank_long` is
@@ -20,8 +23,8 @@ surrogate search called scipy's filter kernel directly and clipped with
 `np.minimum(np.maximum(...))`.  `falsify_tank_long_fir` is the same run with
 `falsify.arx_na = 0`, so every surrogate is a pure FIR filter; its digests
 were recorded while `arx.lfilter` still sent such filters through public
-`scipy.signal.lfilter`.  Its report.json and stats.csv equal
-`falsify_tank_long`'s because report.json records no ARX orders.
+`scipy.signal.lfilter`.  Its stats.csv equals `falsify_tank_long`'s, and its
+report.json differs from it only in `arx.na`.
 
 `compare_small` runs small populations.  `compare_default_1rep` is
 `compare_default.cfg` with one repetition, the benchmark's compare-default
@@ -72,7 +75,7 @@ GOLDEN = {
         "snapshots.csv": "5753f2683f9e812a027d0f3100e0a89a9fbc5f93095f9dd58e8665d8a8179f2c",
     },
     "falsify_lti2": {
-        "report.json": "d9ad6918e227393e43633f7e90d4edb7fd0371755cf2bb73d2e02ba48a0e6aff",
+        "report.json": "a3ff306b96779d266878fd4b5acf6cafc1526b755b8cef0d9d8f50217ed0cff4",
         "stats.csv": "c1d800b25c953661a3f7c872c36287755c2a6604f4e5a169825b12cbabafe00e",
         "trial_00.jsonl": "287d8e0c07cba8b974e4b271f35238843343afa990d9eb5e7d4f9df7ba8a953e",
         "trial_01.jsonl": "9990ce3421d0cd1fe47f8a7710ae1cbfa1030a2d8390f73a6d41b468eb1e422f",
@@ -86,7 +89,7 @@ GOLDEN = {
         "trial_09.jsonl": "95dab2cfdd371e2bf0f922f1d8d576ebb114283a1550c4d689d979ffabb136bf",
     },
     "falsify_tank": {
-        "report.json": "1df061717a2a69414b82ef14e37eea2421b3128d086cce4065759bf5e2d26c17",
+        "report.json": "301fa72f332cc3c38bf215b5df17c3c38f09eda9f742a71fd152109bfe7bf80e",
         "stats.csv": "9f18fefa1fa7fe3a2ed21c4e133c887021585d042bbee20b17b2799d04d12083",
         "trial_00.jsonl": "4604259ea7f04cad6dbf06ff67006e8b467e09873bca6431eafe7f26b1dea962",
         "trial_01.jsonl": "f024e73f78a3c335a28275853315bea9d97420e43659528318aedd77e1dd462f",
@@ -100,13 +103,13 @@ GOLDEN = {
         "trial_09.jsonl": "4569f3d1e578b73460ffe1616a181140adb61bcbb4aa8943b9a210e0e650ff85",
     },
     "falsify_tank_long": {
-        "report.json": "ca784d46c9671ec81e901944d1d3f6b091b6a954d5585ac60781e289be20eae7",
+        "report.json": "87eedd6d33181c3bd99306b20f3b1959b566fe6f3256c6f288564607dbd396aa",
         "stats.csv": "2201364a8cfc7b005b992f07199e62b00c829ddee29931c623c9e9b561889598",
         "trial_00.jsonl": "9affed044f497ac2066084cef185cdbc22af08e3191441a5c5a421ec2e39beb0",
         "trial_01.jsonl": "5502108b57b1af2b223512cf4d4f0abe24c67d914ba9820d52c06cf76a1471b4",
     },
     "falsify_tank_long_fir": {
-        "report.json": "ca784d46c9671ec81e901944d1d3f6b091b6a954d5585ac60781e289be20eae7",
+        "report.json": "8fdea60a0e9e1c9d9537d65aab998b5d52847eb8aa2e48927c7aab4e318be47a",
         "stats.csv": "2201364a8cfc7b005b992f07199e62b00c829ddee29931c623c9e9b561889598",
         "trial_00.jsonl": "4636af57eb4c6403880298909f564d9ee3cde38f6f543ac753a7a453ea8006c6",
         "trial_01.jsonl": "79c5cf6b5459e97359f2802a0649b41f289da7d44bcd5901b1c258c7b381beba",

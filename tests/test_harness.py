@@ -533,6 +533,25 @@ def test_falsify_writes_all_artifacts(falsify_run: tuple[Path, dict]) -> None:
     assert stats_lines[1].endswith(",0,-,-")
 
 
+def test_falsify_report_names_the_surrogate(falsify_run: tuple[Path, dict]) -> None:
+    _, report = falsify_run
+    assert report["n_initial"] == 2
+    assert report["arx"] == {"na": 2, "nb": 2, "nk": 1}
+    assert report["signal"] == {"control_points": 3, "interpolation": "constant",
+                                "lower": 0.0, "upper": 1.5, "horizon": 10.0,
+                                "period": 1.0}
+
+
+def test_falsify_report_without_surrogate_keys_still_replays(
+        falsify_run: tuple[Path, dict], tmp_path: Path) -> None:
+    # report.json as written before it recorded the surrogate
+    out, _ = falsify_run
+    copy = _copy_run(out, tmp_path)
+    _edit_report(copy, lambda r: [r.pop(k) for k in ("n_initial", "arx", "signal")])
+    assert "arx" not in json.loads((copy / "report.json").read_text())
+    assert replay(copy, quiet=True)
+
+
 def test_falsify_round_logs_match_simulation_counts(
         falsify_run: tuple[Path, dict]) -> None:
     out, report = falsify_run
