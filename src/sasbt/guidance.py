@@ -213,6 +213,11 @@ class DtConfig:
         if not 0.0 < self.region_threshold <= 1.0:
             raise ValueError("region_threshold must lie in (0, 1]")
         self.search.validate()
+        # a 0-generation run in a box already holding a population of rows
+        # appends nothing, so the loop would refit the same tree forever
+        if self.search.generations < 1:
+            raise ValueError(
+                f"dt generations must be >= 1, got {self.search.generations}")
 
 
 @dataclass
@@ -303,8 +308,7 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
     iterations: list[dict] = []
 
     for genome in lhs_sample(space, config.initial_lhs, rng):
-        objs, critical = evaluator(genome)
-        archive.append(genome, objs, critical, run_id=0)
+        archive.evaluate(genome, evaluator, run_id=0)
     stages.append(StageRecord(kind="init", iteration=0, region_index=None,
                               checkpoints=[len(archive)]))
 

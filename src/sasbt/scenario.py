@@ -19,13 +19,16 @@ Two paths compute that fitness.  `evaluate_input` is the exact
 fitness-only path the searches call: it integrates the run in segments of
 constant deceleration and records no trace.  `simulate` steps the Euler loop
 sample by sample and returns the full trace for export; with `fitness` it is
-the reference oracle that `evaluate_input` matches bit for bit.
+the reference oracle that `evaluate_input` matches bit for bit.  Both
+validate a `SimConfig` and build its time grid once per config object;
+each input is still checked against the bounds on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +89,19 @@ class SimConfig:
             raise ValueError("sensor_half_angle must lie in (0, pi/2)")
         if self.brake_margin < 0:
             raise ValueError("brake_margin must be >= 0")
+
+    @cached_property
+    def _grid(self) -> tuple[int, np.ndarray, float]:
+        """Validate once; the step count, the read-only sample times and the
+        tangent of the sensor half-angle.  A failed validation is not cached,
+        so an invalid config raises on every use."""
+        self.validate()
+        n_steps = int(round(self.horizon / self.dt))
+        if n_steps < 1 or abs(n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            raise ValueError(f"horizon {self.horizon} is not a multiple of dt {self.dt}")
+        t = np.arange(n_steps + 1) * self.dt
+        t.flags.writeable = False
+        return n_steps, t, math.tan(self.sensor_half_angle)
 
 
 @dataclass
@@ -155,20 +171,14 @@ def _detects(ego_x: float, ego_y: float, ped_x: float, ped_y: float,
 # ---------- simulation ----------
 
 
-def _check_bounds(inp: ScenarioInput, cfg: SimConfig) -> None:
-    for name, value, (lo, hi) in zip(INPUT_NAMES, inp.as_array(), cfg.input_bounds):
+def _checked_grid(inp: ScenarioInput, cfg: SimConfig) -> tuple[int, np.ndarray, float]:
+    """Validate the configuration, then the input; `SimConfig._grid`."""
+    grid = cfg._grid
+    values = (inp.v0c, inp.v0p, inp.t_wait)
+    for name, value, (lo, hi) in zip(INPUT_NAMES, values, cfg.input_bounds):
         if not lo <= value <= hi:
-            raise ValueError(f"{name}={value} outside bounds [{lo}, {hi}]")
-
-
-def _n_steps(inp: ScenarioInput, cfg: SimConfig) -> int:
-    """Validate the configuration and the input; the number of Euler steps."""
-    cfg.validate()
-    _check_bounds(inp, cfg)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - cfg.horizon) > 1e-9 * max(1.0, cfg.horizon):
-        raise ValueError(f"horizon {cfg.horizon} is not a multiple of dt {cfg.dt}")
-    return n_steps
+            raise ValueError(f"{name}={float(value)} outside bounds [{lo}, {hi}]")
+    return grid
 
 
 def simulate(inp: ScenarioInput, cfg: SimConfig | None = None) -> SimulationTrace:
@@ -186,8 +196,7 @@ def simulate(inp: ScenarioInput, cfg: SimConfig | None = None) -> SimulationTrac
             or invalid configuration.
     """
     cfg = cfg or SimConfig()
-    n_steps = _n_steps(inp, cfg)
-    tan_half = math.tan(cfg.sensor_half_angle)
+    n_steps, _, tan_half = _checked_grid(inp, cfg)
     half_corridor = cfg.corridor_half_width
     px0, py0 = cfg.ped_start
 
@@ -276,17 +285,17 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig | None = None) -> FitnessV
     later step whose deceleration choice differs: the comfort test flips,
     or a pedestrian inside the corridor and the braking envelope is
     detected.  `_detects` runs only on such envelope steps, in order, and
-    never after the emergency latch.
+    never after the emergency latch.  A cruise segment (no deceleration at a
+    positive speed) keeps v exactly, so its speeds are a constant array and
+    its thresholds scalars.
 
     Raises:
         ValueError: as `simulate`.
     """
     cfg = cfg or SimConfig()
-    n = _n_steps(inp, cfg)
+    n, t, tan_half = _checked_grid(inp, cfg)
     dt = cfg.dt
-    tan_half = math.tan(cfg.sensor_half_angle)
     px0, py0 = cfg.ped_start
-    t = np.arange(n + 1) * dt
     ped_y = np.where(t > inp.t_wait, py0 - inp.v0p * (t - inp.t_wait), py0)
     in_corridor = np.abs(ped_y) <= cfg.corridor_half_width
     ego_x = np.empty(n + 1)
@@ -305,25 +314,32 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig | None = None) -> FitnessV
             comfort = cfg.spot_x - x <= v * v / (2.0 * cfg.comfort_decel)
             a = cfg.comfort_decel if comfort else 0.0
         # hold it to the horizon: v_{j+1} = max(0, v_j - a dt), x_{j+1} = x_j + v_j dt
-        steps = np.full(n - k + 1, a * dt)
-        steps[0] = v
-        raw = np.subtract.accumulate(steps)
-        vs = np.where(raw > 0.0, raw, 0.0)  # max(0.0, .) maps -0.0 to 0.0 too
-        vs[0] = v  # the segment's first sample is recorded unclamped
-        xs = np.empty_like(vs)
+        cruise = a == 0.0 and v > 0.0  # v - 0.0 == v: the speed stays v
+        if cruise:
+            vs = np.full(n - k + 1, v, dtype=float)
+            xs = np.full(n - k + 1, v * dt)
+        else:
+            steps = np.full(n - k + 1, a * dt)
+            steps[0] = v
+            raw = np.subtract.accumulate(steps)
+            vs = np.where(raw > 0.0, raw, 0.0)  # max(0.0, .) maps -0.0 to 0.0 too
+            vs[0] = v  # the segment's first sample is recorded unclamped
+            xs = np.empty_like(vs)
+            np.multiply(vs[:-1], dt, out=xs[1:])
         xs[0] = x
-        np.multiply(vs[:-1], dt, out=xs[1:])
         np.add.accumulate(xs, out=xs)
         cut = n - k  # segment length in steps; the horizon by default
         if not emergency and cut > 1:
-            xj, vj = xs[1:-1], vs[1:-1]  # later steps that choose a deceleration
-            flips = np.flatnonzero((cfg.spot_x - xj <= vj * vj / (2.0 * cfg.comfort_decel))
+            xj = xs[1:-1]  # later steps that choose a deceleration
+            vj = v if cruise else vs[1:-1]
+            v_sq = vj * vj
+            flips = np.flatnonzero((cfg.spot_x - xj <= v_sq / (2.0 * cfg.comfort_decel))
                                    != comfort)
             if flips.size:
                 cut = int(flips[0]) + 1
             gap = px0 - xj[:cut - 1]
             envelope = (in_corridor[k + 1:k + cut] & (gap >= 0.0)
-                        & (gap <= vj[:cut - 1] * vj[:cut - 1] / (2.0 * cfg.max_decel)
+                        & (gap <= (v_sq if cruise else v_sq[:cut - 1]) / (2.0 * cfg.max_decel)
                            + cfg.brake_margin))
             for j in np.flatnonzero(envelope) + 1:
                 if _detects(float(xs[j]), 0.0, px0, float(ped_y[k + j]), cfg, tan_half):

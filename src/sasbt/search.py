@@ -93,24 +93,39 @@ class EvaluationArchive:
     Rows are recorded in evaluation order; a row's number (`eval_index` in
     the CSV) is how populations refer to it and the determinism tie-break of
     selection.  The archive is the single source of truth for budget
-    accounting and for all post-hoc indicator computation.
+    accounting and for all post-hoc indicator computation.  A genome whose
+    bytes are already in the archive is not re-simulated by `evaluate`: its
+    row copies the first such row's result, and still counts as a row.
     """
 
     genomes: list[np.ndarray] = field(default_factory=list)
     objectives: list[np.ndarray] = field(default_factory=list)
     critical: list[bool] = field(default_factory=list)
     run_ids: list[int] = field(default_factory=list)
+    first_row: dict[bytes, int] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.genomes)
 
     def append(self, genome: np.ndarray, objectives: np.ndarray, critical: bool,
                run_id: int) -> int:
-        self.genomes.append(np.asarray(genome, dtype=float).copy())
+        genome = np.asarray(genome, dtype=float).copy()
+        self.first_row.setdefault(genome.tobytes(), len(self.genomes))
+        self.genomes.append(genome)
         self.objectives.append(np.asarray(objectives, dtype=float).copy())
         self.critical.append(bool(critical))
         self.run_ids.append(int(run_id))
         return len(self.genomes) - 1
+
+    def evaluate(self, genome: np.ndarray, evaluator: Evaluator, run_id: int) -> int:
+        """Append the evaluation of `genome` and return its row; a repeated
+        genome reuses its first row's result (evaluators are pure)."""
+        row = self.first_row.get(np.asarray(genome, dtype=float).tobytes())
+        if row is None:
+            objs, critical = evaluator(genome)
+        else:
+            objs, critical = self.objectives[row], self.critical[row]
+        return self.append(genome, objs, critical, run_id)
 
     def genome_array(self) -> np.ndarray:
         return np.asarray(self.genomes, dtype=float)
@@ -152,10 +167,9 @@ class EvaluationArchive:
                 parts = line.strip().split(",")
                 if not parts or parts == [""]:
                     continue
-                archive.genomes.append(np.array([float(parts[i]) for i in g_cols]))
-                archive.objectives.append(np.array([float(parts[i]) for i in o_cols]))
-                archive.critical.append(parts[-1] == "1")
-                archive.run_ids.append(int(parts[0]))
+                archive.append(np.array([float(parts[i]) for i in g_cols]),
+                               np.array([float(parts[i]) for i in o_cols]),
+                               parts[-1] == "1", int(parts[0]))
         return archive
 
 
@@ -226,8 +240,7 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
             raise RuntimeError("dominance relation is not acyclic")
         fronts.append(front)
         remaining = remaining[~mask]
-        for i in front:
-            counts[dom[i]] -= 1
+        counts -= dom[front].sum(axis=0)
     return fronts
 
 
@@ -352,9 +365,9 @@ def evolve(space: SearchSpace, config: SearchConfig, evaluator: Evaluator, *,
     A population is a list of archive rows.  The initial population is
     `seeds` (rows of `archive` already evaluated, e.g. members inside a
     region), reused without re-simulation and topped up by Latin Hypercube
-    samples.  Each generation evaluates exactly `population` fresh
-    offspring, so a run appends (population - len(seeds)) + population x
-    generations archive rows.
+    samples.  Each generation appends exactly `population` offspring, so a
+    run appends (population - len(seeds)) + population x generations archive
+    rows; the evaluator runs only for genomes not yet in the archive.
 
     Args:
         space: decision-variable box; offspring are clamped into it.
@@ -377,17 +390,14 @@ def evolve(space: SearchSpace, config: SearchConfig, evaluator: Evaluator, *,
     rng = np.random.default_rng(config.seed)
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.dim
 
-    def evaluate(genome: np.ndarray) -> int:
-        objs, critical = evaluator(genome)
-        return archive.append(genome, objs, critical, run_id)
-
     def objectives(rows: list[int]) -> np.ndarray:
         return np.asarray([archive.objectives[i] for i in rows])
 
     population = [int(row) for row in seeds]
     n_new = config.population - len(population)
     if n_new > 0:
-        population += [evaluate(genome) for genome in lhs_sample(space, n_new, rng)]
+        population += [archive.evaluate(genome, evaluator, run_id)
+                       for genome in lhs_sample(space, n_new, rng)]
     _, rank, crowding = rank_and_crowding(objectives(population))
 
     for _ in range(config.generations):
@@ -400,7 +410,7 @@ def evolve(space: SearchSpace, config: SearchConfig, evaluator: Evaluator, *,
             for child in (c1, c2):
                 mutated = _polynomial_mutation(rng, child, space, pm,
                                                config.mutation_index)
-                offspring.append(evaluate(space.clip(mutated)))
+                offspring.append(archive.evaluate(space.clip(mutated), evaluator, run_id))
         merged = population + offspring
         fronts, rank, crowding = rank_and_crowding(objectives(merged))
         # survivors keep the rank and crowding they have in the merged population

@@ -289,8 +289,10 @@ def test_criterion_9_budget_safety(capsys) -> None:
             rejected += 1
             return
         result = nsga2_dt(space, evaluator, config)
-        assert calls[0] == len(result.archive) <= config.budget
-        worst_used_frac = max(worst_used_frac, calls[0] / config.budget)
+        # a repeated genome reuses its archive row: one call per distinct genome
+        distinct = len({genome.tobytes() for genome in result.archive.genomes})
+        assert calls[0] == distinct and len(result.archive) <= config.budget
+        worst_used_frac = max(worst_used_frac, len(result.archive) / config.budget)
         executed += 1
 
     def falsification_case() -> None:
@@ -355,9 +357,25 @@ def test_criterion_9_budget_safety(capsys) -> None:
                      arx=ArxConfig(na=2, nb=2, nk=1), seed=1)
     boundary_ok = calls[0] == pinned.real_simulations == 300 and not pinned.falsified
 
-    ok = executed + rejected == 200 and worst_used_frac <= 1.0 and boundary_ok
+    # region runs of 0 generations would append no row once their boxes are
+    # full, so the loop would never end: rejected before any simulation
+    calls = [0]
+
+    def box(genome: np.ndarray):
+        calls[0] += 1
+        return np.array([float(genome[0]), float(genome[1])]), bool(genome[0] < 0.5)
+
+    zero_gens = DtConfig(budget=400, initial_lhs=60,
+                         search=SearchConfig(population=4, generations=0))
+    with pytest.raises(ValueError, match="generations"):
+        nsga2_dt(SearchSpace(np.zeros(2), np.ones(2)), box, zero_gens)
+    zero_gens_ok = calls[0] == 0
+
+    ok = (executed + rejected == 200 and worst_used_frac <= 1.0 and boundary_ok
+          and zero_gens_ok)
     announce(capsys, 9, "budget safety", ok,
              f"200 fuzzed configs: {executed} executed within budget "
              f"(max usage {worst_used_frac:.0%}), {rejected} invalid configs "
              f"rejected before any simulation; 300-budget exhaustion stops at "
-             f"exactly {pinned.real_simulations} real simulations")
+             f"exactly {pinned.real_simulations} real simulations; 0-generation "
+             f"region runs rejected before any simulation: {zero_gens_ok}")

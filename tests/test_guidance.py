@@ -3,10 +3,14 @@ box partition properties, region ordering, budget discipline, focusing
 behavior on a synthetic problem, and determinism."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sasbt import guidance
 from sasbt.guidance import (CriticalRegion, DtConfig, TreeNode, _best_split,
                             _seed_rows,
                             extract_regions, fit_tree, leaf_boxes, nsga2_dt,
@@ -224,6 +228,57 @@ def test_nsga2_dt_respects_budget_exactly():
         assert len(result.archive) <= budget
 
 
+@st.composite
+def _small_dt_configs(draw) -> DtConfig:
+    initial = draw(st.integers(1, 40))
+    return DtConfig(
+        budget=initial + draw(st.integers(0, 160)),
+        initial_lhs=initial,
+        region_threshold=draw(st.floats(0.05, 1.0)),
+        max_depth=draw(st.integers(0, 5)),
+        min_samples_leaf=draw(st.integers(1, 8)),
+        search=SearchConfig(population=2 * draw(st.integers(1, 6)),
+                            generations=draw(st.integers(0, 3)),
+                            crossover_prob=draw(st.sampled_from([0.0, 0.6, 1.0])),
+                            mutation_prob=draw(st.sampled_from([None, 0.0, 1.0])),
+                            seed=draw(st.integers(0, 2 ** 31))),
+        seed=draw(st.integers(0, 2 ** 31)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_dt_configs())
+def test_nsga2_dt_ends_within_budget(config):
+    # a loop that does not end fails fast here instead of hanging: every
+    # outer iteration but the last appends rows, so it fits at most
+    # budget + 1 trees and calls the evaluator at most budget times
+    calls, fits = [0], [0]
+
+    def bounded(genome):
+        calls[0] += 1
+        if calls[0] > config.budget:
+            raise RuntimeError("evaluator called more often than the budget")
+        return _box_evaluator(genome)
+
+    def bounded_fit(*args):
+        fits[0] += 1
+        if fits[0] > config.budget + 1:
+            raise RuntimeError("tree refit without a new archive row")
+        return fit_tree(*args)
+
+    with mock.patch.object(guidance, "fit_tree", bounded_fit):
+        if config.search.generations < 1:
+            with pytest.raises(ValueError, match="generations"):
+                nsga2_dt(UNIT2, bounded, config)
+            assert calls[0] == 0
+            return
+        result = nsga2_dt(UNIT2, bounded, config)
+    assert len(result.archive) <= config.budget
+    assert calls[0] == len({genome.tobytes() for genome in result.archive.genomes})
+    counts = [count for stage in result.stages for count in stage.checkpoints]
+    assert counts == sorted(counts)
+    assert counts[-1] == len(result.archive)
+
+
 def test_nsga2_dt_focuses_on_critical_box():
     result = nsga2_dt(UNIT2, _box_evaluator, _small_config())
     crit = result.archive.critical_array()
@@ -301,4 +356,6 @@ def test_dt_config_validation():
         DtConfig(region_threshold=0.0).validate()
     with pytest.raises(ValueError):
         DtConfig(initial_lhs=0).validate()
+    with pytest.raises(ValueError, match="generations"):
+        DtConfig(search=SearchConfig(population=4, generations=0)).validate()
     DtConfig().validate()

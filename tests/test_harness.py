@@ -644,6 +644,14 @@ def test_cli_config_errors_exit_2(tmp_path: Path, capsys) -> None:
     bad = tmp_path / "bad.cfg"
     bad.write_text("experiment.budget = 81\nsearch.population = 8\n")
     assert cli.main(["compare", "--config", str(bad)]) == cli.EXIT_CONFIG
+    # region runs of 0 generations would append nothing and never end
+    with pytest.raises(harness.ConfigError, match="generations"):
+        harness.ExperimentConfig.from_text("dt.generations = 0\n")
+    zero_gens = tmp_path / "zero_gens.cfg"
+    zero_gens.write_text("dt.generations = 0\n")
+    assert cli.main(["compare", "--config", str(zero_gens),
+                     "--out", str(tmp_path / "never")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "never").exists()
     falsify_cfg = tmp_path / "f.cfg"
     falsify_cfg.write_text(FALSIFY_TEXT)
     # kind mismatch between config and subcommand

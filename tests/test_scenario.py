@@ -401,6 +401,51 @@ def test_evaluate_input_keeps_signed_zero_speed():
         assert_matches_oracle(inp, cfg)
 
 
+@pytest.mark.parametrize("inp, cfg, phases", [
+    # v0c = 0: a == 0 and v == 0, the general path keeps the ego standing
+    (ScenarioInput(0.0, 1.0, 0.0),
+     SimConfig(input_bounds=((0.0, 15.0), (0.1, 3.0), (0.0, 10.0))), []),
+    # cruise to the horizon: one constant-speed segment
+    (WAITING, wide_bounds(spot_x=1000.0), ["cruise"]),
+    # cruise, then emergency braking
+    (ScenarioInput(5.0, 0.1, 50.0),
+     wide_bounds(spot_x=1000.0, occluder=(900.0, 1.0, 901.0, 2.0),
+                 ped_start=(15.0, 0.5)), ["cruise", "emergency"]),
+    # comfort braking from k = 0: no constant-speed segment while moving
+    (ScenarioInput(10.0, 1.0, 50.0), wide_bounds(spot_x=1.0), ["comfort"]),
+], ids=["standing", "cruise", "cruise-emergency", "comfort-from-start"])
+def test_evaluate_input_constant_speed_segments(inp, cfg, phases):
+    trace = assert_matches_oracle(inp, cfg)
+    assert _phases(trace, cfg) == phases
+    if phases == ["cruise"]:
+        assert (trace.ego_v == inp.v0c).all()
+    if not phases:
+        assert (trace.ego_x == 0.0).all()
+
+
+def test_evaluate_input_validates_config_once_and_invalid_ones_always(monkeypatch):
+    validated = []
+    check = SimConfig.validate
+    monkeypatch.setattr(SimConfig, "validate",
+                        lambda self: validated.append(self) or check(self))
+    cfg = SimConfig()
+    fits = [evaluate_input(ScenarioInput(5.0, 1.0, 2.0), cfg) for _ in range(3)]
+    assert len(validated) == 1 and fits[0] == fits[1] == fits[2]
+    with pytest.raises(ValueError, match="v0c"):  # per-input checks still run
+        evaluate_input(ScenarioInput(0.5, 1.0, 2.0), cfg)
+    with pytest.raises(ValueError, match="v0c"):
+        simulate(ScenarioInput(0.5, 1.0, 2.0), cfg)
+    assert len(validated) == 1
+    with pytest.raises(ValueError):
+        cfg._grid[1][0] = 1.0  # the shared time grid is read-only
+    for bad in (replace(cfg, horizon=0.005), replace(cfg, max_decel=0.0)):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                evaluate_input(ScenarioInput(5.0, 1.0, 2.0), bad)
+            with pytest.raises(ValueError):
+                simulate(ScenarioInput(5.0, 1.0, 2.0), bad)
+
+
 def test_evaluate_input_validates_like_simulate():
     with pytest.raises(ValueError, match="v0c"):
         evaluate_input(ScenarioInput(0.5, 1.0, 2.0))

@@ -34,6 +34,7 @@ def test_dominates_basic():
 
 def test_non_dominated_sort_matches_brute_force():
     rng = np.random.default_rng(0)
+    dup_rng = np.random.default_rng(10)  # keeps the draws of `rng` as they were
     for trial in range(40):
         n = int(rng.integers(1, 51))
         m = int(rng.integers(2, 4))
@@ -42,6 +43,14 @@ def test_non_dominated_sort_matches_brute_force():
         expect = brute_force_fronts(objs)
         got = [sorted(f) for f in fronts]
         assert got == expect, f"trial {trial}"
+        # exact duplicate rows, shuffled in, and a row tied with all but one
+        # objective of another: duplicates share a front and never dominate
+        extra = objs[dup_rng.integers(n, size=int(dup_rng.integers(1, n + 2)))]
+        tied = objs[dup_rng.integers(n, size=3)]
+        tied[:, 0] += 1.0
+        more = np.vstack([objs, extra, tied])[dup_rng.permutation(n + len(extra) + 3)]
+        got = [sorted(f) for f in non_dominated_sort(more)]
+        assert got == brute_force_fronts(more), f"trial {trial} with duplicates"
 
 
 def test_non_dominated_sort_translation_invariant():
@@ -214,15 +223,72 @@ def test_evolve_evaluates_only_fresh_genomes_and_returns_archive_rows(n_seeds):
     population, out = evolve(SPACE2, SearchConfig(population=p, generations=g, seed=2),
                              counting, seeds=seeds, archive=archive, run_id=9)
     assert out is archive
-    assert len(calls) == (p - n_seeds) + p * g
-    assert len(archive) == len(before) + len(calls)
-    # the evaluator saw exactly the appended rows, in order, and no seed row
+    added = archive.genome_array()[len(before):]
+    assert len(added) == (p - n_seeds) + p * g
+    # the evaluator saw each appended genome not already in the archive,
+    # once, in order of first appearance, and no seed row
+    seen = {genome.tobytes() for genome in before}
+    fresh = []
+    for genome in added:
+        if genome.tobytes() not in seen:
+            seen.add(genome.tobytes())
+            fresh.append(genome)
+    np.testing.assert_array_equal(np.reshape(calls, (-1, 2)), np.reshape(fresh, (-1, 2)))
     np.testing.assert_array_equal(archive.genome_array()[:len(before)], before)
-    np.testing.assert_array_equal(archive.genome_array()[len(before):], calls)
-    assert archive.run_ids[len(before):] == [9] * len(calls)
+    assert archive.run_ids[len(before):] == [9] * len(added)
+    # a reused row holds exactly what evaluating its genome gives
+    for row in range(len(before), len(archive)):
+        objs, critical = _sphere_evaluator(archive.genomes[row])
+        assert archive.objectives[row].tobytes() == objs.tobytes()
+        assert archive.critical[row] == critical
     assert len(population) == p
     assert all(isinstance(row, int) and 0 <= row < len(archive) for row in population)
     assert len(set(population)) == p
+
+
+def test_evolve_without_variation_evaluates_only_the_initial_population():
+    # every child is an exact copy of a parent, so it reuses the parent's row
+    p, g = 6, 4
+    calls = []
+
+    def counting(genome):
+        calls.append(genome.tobytes())
+        return _sphere_evaluator(genome)
+
+    cfg = SearchConfig(population=p, generations=g, crossover_prob=0.0,
+                       mutation_prob=0.0, seed=5)
+    _, archive = evolve(SPACE2, cfg, counting)
+    assert len(calls) == p
+    assert len(archive) == p * (g + 1)
+    first = {genome.tobytes(): row for row, genome in enumerate(archive.genomes[:p])}
+    assert sorted(first) == sorted(calls)
+    for row in range(p, len(archive)):
+        parent = first[archive.genomes[row].tobytes()]
+        assert archive.objectives[row].tobytes() == archive.objectives[parent].tobytes()
+        assert archive.critical[row] == archive.critical[parent]
+
+
+def test_archive_reuses_only_byte_identical_genomes(tmp_path):
+    calls = []
+
+    def counting(genome):
+        calls.append(genome.tobytes())
+        return np.array([float(genome[0]), 1.0 / (1.0 + float(genome[1]))]), False
+
+    archive = EvaluationArchive()
+    rows = [archive.evaluate(np.array(g), counting, run_id=0)
+            for g in ([0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0 + 2 ** -52])]
+    assert rows == [0, 1, 2, 3]
+    assert len(calls) == 3  # -0.0 and the next float up are distinct genomes
+    assert archive.first_row == {archive.genomes[0].tobytes(): 0,
+                                 archive.genomes[2].tobytes(): 2,
+                                 archive.genomes[3].tobytes(): 3}
+    # an archive read back from its CSV reuses the same rows
+    archive.to_csv(tmp_path / "a.csv")
+    back = EvaluationArchive.from_csv(tmp_path / "a.csv")
+    assert back.first_row == archive.first_row
+    assert back.evaluate(np.array([-0.0, 1.0]), counting, run_id=1) == 4
+    assert len(calls) == 3 and back.objectives[4].tobytes() == back.objectives[2].tobytes()
 
 
 def test_evolve_rejects_too_many_or_foreign_seeds():
