@@ -24,7 +24,13 @@ surrogate search called scipy's filter kernel directly and clipped with
 `falsify.arx_na = 0`, so every surrogate is a pure FIR filter; its digests
 were recorded while `arx.lfilter` still sent such filters through public
 `scipy.signal.lfilter`.  Its stats.csv equals `falsify_tank_long`'s, and its
-report.json differs from it only in `arx.na`.
+report.json differs from it only in `arx.na`.  `falsify_tank_long_linear`
+is the same run with `signal.interpolation = linear`, so every input signal
+interpolates between its control points; `falsify_tank_random` is
+`falsify_tank.cfg` with `falsify.method = random`, the pure-random
+comparator.  Both were recorded from the code in which `build_signal` and
+the surrogate objective still expanded theta separately and `falsify` ran
+its initial dataset and its refinement rounds in two loops.
 
 `compare_small` runs small populations.  `compare_default_1rep` is
 `compare_default.cfg` with one repetition, the benchmark's compare-default
@@ -32,7 +38,7 @@ inputs: a population-40 plain search and 20-member, four-generation region
 runs.  Its digests were recorded from the code in which a population was
 still a list of per-member copies of archive rows.
 
-The six runs take a few seconds in total.
+The eight runs take a few seconds in total.
 """
 
 import hashlib
@@ -51,6 +57,8 @@ DERIVED = {
     "compare_default_1rep": ("compare_default", {"experiment.repetitions": "1"}),
     "falsify_tank_long": ("falsify_tank", LONG),
     "falsify_tank_long_fir": ("falsify_tank", {**LONG, "falsify.arx_na": "0"}),
+    "falsify_tank_long_linear": ("falsify_tank", {**LONG, "signal.interpolation": "linear"}),
+    "falsify_tank_random": ("falsify_tank", {"falsify.method": "random"}),
 }
 
 GOLDEN = {
@@ -113,6 +121,26 @@ GOLDEN = {
         "stats.csv": "2201364a8cfc7b005b992f07199e62b00c829ddee29931c623c9e9b561889598",
         "trial_00.jsonl": "4636af57eb4c6403880298909f564d9ee3cde38f6f543ac753a7a453ea8006c6",
         "trial_01.jsonl": "79c5cf6b5459e97359f2802a0649b41f289da7d44bcd5901b1c258c7b381beba",
+    },
+    "falsify_tank_long_linear": {
+        "report.json": "e9a4ef67e9750f810ad07a3684e6f037321bffd8e4a87230082c5027915e3f58",
+        "stats.csv": "2201364a8cfc7b005b992f07199e62b00c829ddee29931c623c9e9b561889598",
+        "trial_00.jsonl": "a258a4a80e1079b6619221b66ef243a14326bb0b22d565dff2fe0654c44acc84",
+        "trial_01.jsonl": "e39792d04d6c759c9df7ca963cce137ed68598c496ac453a1c0472e764681684",
+    },
+    "falsify_tank_random": {
+        "report.json": "98e28b291e138c07e85bea411e0779eee40fd9be29e858139b412717dd4ab629",
+        "stats.csv": "3e99de350913147ac1806a25a5ab5f12dabc105f19d92670dba1ca60d9120d32",
+        "trial_00.jsonl": "62cd813ab49481ac7e846678762b5538f30c0e0c44d5a3d74bace933df3e5c20",
+        "trial_01.jsonl": "f6bfe4ff40f7dc47226a19863831305bda08f1dff7af839e270adc2b5b757427",
+        "trial_02.jsonl": "675e3b59af8cda6cf83bb71bfad98875791c45e255ee95b1e194d2d2590ea441",
+        "trial_03.jsonl": "167dbc34512a816d360677e1429b3af4344ffe3eed182b98628eca60c760aaa7",
+        "trial_04.jsonl": "2e90061d0e8c92dfbcea2c738b7595e71c3540fbde2643249540163828187e7c",
+        "trial_05.jsonl": "d3c5f44c4d80edb9de608198086b07aa4080fad7710534a51d5385e6f328cbc7",
+        "trial_06.jsonl": "cd3542bd146f97eca722180967d198e40ca82e0a6cd9a3427629d0cd32301fc7",
+        "trial_07.jsonl": "780a4cdcb63a119dc4a1eed348777f8ba385e9568932d96af9e639768aa1dcb1",
+        "trial_08.jsonl": "d273bd21e6bb5163833c2fa4ea690ec47cb95180c392db14a6f87b967970efaf",
+        "trial_09.jsonl": "4dc4cac25f670cb15eaeafd69a7a979569e17e9ee5386aaecfcc2fd23aba180e",
     },
 }
 
