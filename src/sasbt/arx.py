@@ -28,6 +28,12 @@ class ArxConfig:
     nb: int = 2  # input lags
     nk: int = 2  # input delay
 
+    def validate(self) -> None:
+        if min(self.na, self.nb, self.nk) < 0:
+            raise ValueError(f"orders must be >= 0, got na={self.na}, nb={self.nb}, nk={self.nk}")
+        if self.na + self.nb == 0:
+            raise ValueError("no regressors (na and nb both zero)")
+
 
 def _as_traces(u, y) -> list[tuple[np.ndarray, np.ndarray]]:
     if isinstance(u, (list, tuple)) != isinstance(y, (list, tuple)):
@@ -139,12 +145,9 @@ def fit_arx(u, y, config: ArxConfig | None = None) -> ArxModel:
     """
     config = config or ArxConfig()
     traces = _as_traces(u, y)
+    config.validate()
     na, nb, nk = config.na, config.nb, config.nk
-    if min(na, nb, nk) < 0:
-        raise ValueError(f"orders must be >= 0, got na={na}, nb={nb}, nk={nk}")
     n_params = na + nb
-    if n_params == 0:
-        raise ValueError("no regressors (na and nb both zero)")
     k0 = _row_start(na, nb, nk)
     blocks: list[np.ndarray] = []
     targets: list[np.ndarray] = []

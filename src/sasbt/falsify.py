@@ -5,12 +5,15 @@ everything observed so far, hunts for a requirement violation on the
 surrogate by simulated annealing, then confirms the single best candidate
 on the real system.  Only real simulations count against the falsification
 budget; a trial succeeds the moment a real run has negative robustness.
+Every round, initial sample or surrogate candidate, ends in the same real
+step, and every input, the ARX orders included, is checked before the first.
 
 The surrogate pays off only if a surrogate call is far cheaper than a real
 one, so nothing fixed is rebuilt per call: each trial compiles the
-requirement (`stl.compile_requirement`) and the signal's sample grid
-(`SignalParam.sample_index`) once, and each round the fitted model's
-filter coefficients (`ArxModel.siso_filter`).  A surrogate call is then
+requirement (`stl.compile_requirement`), each signal description its
+theta-to-samples expansion (`SignalParam.expand`, which real inputs and
+surrogate inputs share), and each round the fitted model's filter
+coefficients (`ArxModel.siso_filter`).  A surrogate call is then
 one gather (or `np.interp`), one `arx.lfilter`, which calls scipy's
 compiled filter kernel directly (or `np.convolve` for a pure FIR surrogate,
 `arx_na = 0`) without importing `scipy.signal`, and one compiled robustness
@@ -32,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arx import ArxConfig, ArxModel, fit_arx, lfilter
+from .arx import ArxConfig, ArxModel, fit_arx, lfilter, siso_rows
 from .search import SearchSpace, lhs_sample
 from .stl import Formula, compile_requirement, robustness
 
@@ -68,25 +71,18 @@ class SignalParam:
     def n_samples(self) -> int:
         return int(round(self.horizon / self.period)) + 1
 
-    @property
-    def holds_points(self) -> bool:
-        """True when every sample holds one control point's value."""
-        return self.interpolation == "constant" or self.control_points == 1
-
     @cached_property
-    def sample_times(self) -> np.ndarray:
+    def expand(self) -> Callable[[np.ndarray], np.ndarray]:
+        """theta -> the sampled (n_samples,) signal, with the sample grid
+        built once per (valid) param: a constant signal or a single control
+        point gathers each sample's point, a linear one interpolates."""
         times = np.arange(self.n_samples) * self.period
-        times.flags.writeable = False  # shared by every call: never mutated
-        return times
-
-    @cached_property
-    def sample_index(self) -> np.ndarray:
-        """Control point held at each sample (for `holds_points` signals)."""
-        seg = np.minimum(
-            (self.sample_times * self.control_points / self.horizon + 1e-9).astype(int),
-            self.control_points - 1)
-        seg.flags.writeable = False
-        return seg
+        if self.interpolation == "constant" or self.control_points == 1:
+            held = np.minimum((times * self.control_points / self.horizon + 1e-9).astype(int),
+                              self.control_points - 1)
+            return lambda theta: theta[held]
+        nodes = np.linspace(0.0, self.horizon, self.control_points)
+        return lambda theta: np.interp(times, nodes, theta)
 
     def theta_space(self) -> SearchSpace:
         """Box over the control-point vector."""
@@ -100,15 +96,10 @@ def build_signal(param: SignalParam, theta) -> np.ndarray:
     signal; a vector of the wrong length raises `ValueError`.
 
     `param` must already be valid (`SignalParam.validate`): this runs once
-    per real simulation and does not check it again.  The surrogate search
-    expands theta itself (`surrogate_objective`), through the same cached
-    `sample_index` / `sample_times`.
+    per real simulation and does not check it again.  It shape-checks theta
+    for `SignalParam.expand`, which the surrogate objective calls directly.
     """
-    th = np.asarray(theta, dtype=float).reshape(param.control_points)
-    if param.holds_points:
-        return th[param.sample_index]
-    nodes = np.linspace(0.0, param.horizon, param.control_points)
-    return np.interp(param.sample_times, nodes, th)
+    return param.expand(np.asarray(theta, dtype=float).reshape(param.control_points))
 
 
 # ---------- benchmark systems ----------
@@ -145,11 +136,14 @@ def benchmark_sut(name: str, u) -> np.ndarray:
 
 # ---------- optimizers over the surrogate ----------
 
+ANNEAL_T0 = 1.0  # initial temperature
+ANNEAL_COOLING = 0.95  # temperature factor per proposal
+ANNEAL_STEP = 0.1  # proposal standard deviation, as a fraction of the box extent
+
 
 def anneal_minimize(fun: Callable[[np.ndarray], float], space: SearchSpace,
                     budget: int, rng: np.random.Generator, *,
-                    init: np.ndarray | None = None, t0: float = 1.0,
-                    cooling: float = 0.95, step_scale: float = 0.1,
+                    init: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, float, int]:
     """Simulated annealing: geometric cooling, Gaussian proposals scaled to
     the box extent, clamped to bounds.  Returns (best x, best f, evals)."""
@@ -160,8 +154,8 @@ def anneal_minimize(fun: Callable[[np.ndarray], float], space: SearchSpace,
     fx = fun(x)
     evals = 1
     best_x, best_f = x, fx
-    temp = t0
-    sigma = step_scale * (space.upper - space.lower)
+    temp = ANNEAL_T0
+    sigma = ANNEAL_STEP * (space.upper - space.lower)
     dim = space.dim
     while evals < budget:
         cand = space.clip(x + rng.normal(0.0, 1.0, dim) * sigma)
@@ -172,7 +166,7 @@ def anneal_minimize(fun: Callable[[np.ndarray], float], space: SearchSpace,
             x, fx = cand, fc
         if fc < best_f:
             best_x, best_f = cand, fc
-        temp *= cooling
+        temp *= ANNEAL_COOLING
     return best_x, best_f, evals
 
 
@@ -218,16 +212,13 @@ def surrogate_objective(model: ArxModel, rho: Callable[[np.ndarray], float],
     input theta encodes.  Bit-identical to `robustness(requirement,
     simulate_arx(model, build_signal(signal, theta)), signal.period)` for
     `rho = compile_requirement(requirement, signal.period,
-    signal.n_samples)`, with the filter and the sample grid built once and
-    the response filtered by `arx.lfilter`, the same helper `simulate_arx`
-    uses."""
+    signal.n_samples)`: theta is expanded by `SignalParam.expand`, as
+    `build_signal` expands it, and the response is filtered by
+    `arx.lfilter`, the same helper `simulate_arx` uses, with the filter
+    built once per model."""
     num, den = model.siso_filter()
-    if signal.holds_points:
-        idx = signal.sample_index
-        return lambda theta: rho(lfilter(num, den, theta[idx]))
-    times = signal.sample_times
-    nodes = np.linspace(0.0, signal.horizon, signal.control_points)
-    return lambda theta: rho(lfilter(num, den, np.interp(times, nodes, theta)))
+    expand = signal.expand
+    return lambda theta: rho(lfilter(num, den, expand(theta)))
 
 
 @dataclass
@@ -256,13 +247,12 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
             n_initial: int = 2, seed: int = 0) -> FalsifyResult:
     """Surrogate-guided falsification of `requirement` on `sut`.
 
-    The initial dataset is `n_initial` Latin-Hypercube input signals run on
-    the real system (each counts against `real_budget`; the trial ends early
-    if one already violates).  Every refinement round refits the ARX
-    surrogate on all real data, minimizes surrogate robustness by simulated
-    annealing (`anneal_minimize`) with at most `surrogate_budget` surrogate
-    simulations, then confirms the single best candidate with one real
-    simulation.
+    Each round spends one real simulation, and the trial ends at the first
+    negative real robustness.  Round 0 runs the `n_initial` Latin-Hypercube
+    input signals drawn up front; every later round refits the ARX surrogate
+    on all real data, minimizes surrogate robustness by simulated annealing
+    (`anneal_minimize`) with `surrogate_budget` surrogate simulations, and
+    confirms the single best candidate on the real system.
 
     The requirement and the sample grid are compiled once per trial, before
     any simulation, and the surrogate's filter once per round (see
@@ -271,61 +261,51 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
 
     Raises:
         ValueError: invalid signal, a requirement the sampled output cannot
-            be scored against, or non-positive budgets; all before the first
-            simulation.
+            be scored against, budgets or `n_initial` below 1, or ARX orders
+            the `n_initial` traces cannot fit; all before the first simulation.
 
     Returns:
         FalsifyResult; `falsified` is decided only by real robustness < 0
         and `falsifying_input` always re-simulates to a violation.
     """
     compiled_rho = _compile_trial(requirement, signal, real_budget)
-    if n_initial < 1:
-        raise ValueError("n_initial must be >= 1")
+    if n_initial < 1 or surrogate_budget < 1:
+        raise ValueError("n_initial and surrogate_budget must be >= 1")
+    arx = arx or ArxConfig()
+    arx.validate()
+    rows = n_initial * siso_rows(arx, signal.n_samples)
+    if rows < arx.na + arx.nb:
+        raise ValueError(f"n_initial = {n_initial} traces give {rows} regression rows "
+                         f"for {arx.na + arx.nb} ARX coefficients")
     rng = np.random.default_rng(seed)
     space = signal.theta_space()
+    initial = lhs_sample(space, n_initial, rng)
 
-    us: list[np.ndarray] = []
+    us: list[np.ndarray] = []  # the real inputs and outputs the surrogate fits
     ys: list[np.ndarray] = []
     rounds: list[RoundLog] = []
-    real = 0
-    best_rho = np.inf
-    best_theta: np.ndarray | None = None
-
-    # initial dataset, checked one by one so an immediate violation stops
-    for theta in lhs_sample(space, n_initial, rng):
-        if real >= real_budget:
-            break
+    best_rho, best_theta = np.inf, None
+    while len(rounds) < real_budget:
+        if len(rounds) < n_initial:
+            theta = initial[len(rounds)]
+            diagnostics = (0, None, None)
+        else:
+            model = fit_arx(us, ys, arx)
+            theta, cand_rho, _ = anneal_minimize(
+                surrogate_objective(model, compiled_rho, signal),
+                space, surrogate_budget, rng, init=best_theta)
+            diagnostics = (len(rounds) - n_initial + 1, model.residual_rms, float(cand_rho))
         u = build_signal(signal, theta)
         y = sut(u)
-        real += 1
         rho = robustness(requirement, y, signal.period)
         us.append(u)
         ys.append(y)
-        rounds.append(RoundLog(0, None, None, rho))
+        rounds.append(RoundLog(*diagnostics, rho))
         if rho < best_rho:
             best_rho, best_theta = rho, theta
         if rho < 0.0:
-            return FalsifyResult(True, real, theta, u, rounds)
-
-    round_idx = 0
-    while real < real_budget:
-        round_idx += 1
-        model = fit_arx(us, ys, arx)
-        cand, cand_rho, _ = anneal_minimize(
-            surrogate_objective(model, compiled_rho, signal),
-            space, surrogate_budget, rng, init=best_theta)
-        u = build_signal(signal, cand)
-        y = sut(u)
-        real += 1
-        rho = robustness(requirement, y, signal.period)
-        us.append(u)
-        ys.append(y)
-        rounds.append(RoundLog(round_idx, model.residual_rms, float(cand_rho), rho))
-        if rho < best_rho:
-            best_rho, best_theta = rho, cand
-        if rho < 0.0:
-            return FalsifyResult(True, real, cand, u, rounds)
-    return FalsifyResult(False, real, None, None, rounds)
+            return FalsifyResult(True, len(rounds), theta, u, rounds)
+    return FalsifyResult(False, len(rounds), None, None, rounds)
 
 
 def random_baseline(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,

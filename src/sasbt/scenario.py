@@ -46,9 +46,6 @@ class ScenarioInput:
     v0p: float  # pedestrian walking speed, m/s
     t_wait: float  # pedestrian wait before crossing, s
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v0c, self.v0p, self.t_wait], dtype=float)
-
     @classmethod
     def from_array(cls, genome) -> "ScenarioInput":
         v0c, v0p, t_wait = (float(v) for v in genome)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sasbt.arx import ArxConfig, fit_arx, simulate_arx
 from sasbt.falsify import (
@@ -341,6 +343,86 @@ def test_falsify_validates_arguments() -> None:
         falsify(sut, req, SHORT, n_initial=0)
     with pytest.raises(ValueError, match="real_budget"):
         random_baseline(sut, req, SHORT, real_budget=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(surrogate_budget=0), "surrogate_budget"),
+    (dict(arx=ArxConfig(na=-1, nb=2, nk=1)), "orders must be >= 0"),
+    (dict(arx=ArxConfig(na=0, nb=0, nk=1)), "no regressors"),
+    (dict(arx=ArxConfig(na=2, nb=2, nk=60)), "0 regression rows for 4"),
+], ids=["surrogate-budget-0", "na-negative", "no-coefficients", "nk-60"])
+def test_unusable_surrogate_settings_fail_before_any_simulation(kwargs,
+                                                                message: str) -> None:
+    # each would otherwise spend the n_initial real runs before the first fit
+    calls = []
+    req = parse_requirement("always[0,10] y0 <= 1e6")
+    with pytest.raises(ValueError, match=message):
+        falsify(lambda u: calls.append(u) or benchmark_sut("tank", u), req, SHORT,
+                real_budget=10, **kwargs)
+    assert calls == []
+
+
+class CountingSut:
+    """lti2 that records every input and raises on call `limit + 1`."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.inputs: list[np.ndarray] = []
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        if len(self.inputs) == self.limit:
+            raise AssertionError(f"real simulation {self.limit + 1} over the budget")
+        self.inputs.append(u.copy())
+        return benchmark_sut("lti2", u)
+
+
+def check_trial_bounds(res: FalsifyResult, sut: CountingSut, signal: SignalParam,
+                       real_budget: int) -> None:
+    assert len(sut.inputs) == res.real_simulations == len(res.rounds) <= real_budget
+    assert res.falsified == (res.rounds[-1].real_robustness < 0)
+    assert all(r.real_robustness >= 0 for r in res.rounds[:-1])
+    if res.falsified:
+        assert np.array_equal(build_signal(signal, res.falsifying_theta),
+                              res.falsifying_input)
+        assert np.array_equal(sut.inputs[-1], res.falsifying_input)
+    else:
+        assert len(res.rounds) == real_budget
+        assert res.falsifying_theta is None and res.falsifying_input is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(real_budget=st.integers(1, 8), n_initial=st.integers(1, 10),
+       surrogate_budget=st.integers(1, 20), na=st.integers(0, 3),
+       nb=st.integers(0, 3), nk=st.integers(0, 3),
+       interpolation=st.sampled_from(["constant", "linear"]),
+       bound=st.floats(0.5, 6.0), seed=st.integers(0, 1000))
+def test_falsify_ends_within_its_real_budget(real_budget: int, n_initial: int,
+                                             surrogate_budget: int, na: int, nb: int,
+                                             nk: int, interpolation: str,
+                                             bound: float, seed: int) -> None:
+    # every order up to 3 is fittable from one 11-sample trace (at most 6
+    # coefficients, at least 6 rows), so only na = nb = 0 is excluded
+    if na + nb == 0:
+        nb = 1
+    signal = SignalParam(control_points=3, interpolation=interpolation,
+                         lower=0.0, upper=2.0, horizon=10.0, period=1.0)
+    req = parse_requirement(f"always[0,10] y0 <= {bound}")
+    sut = CountingSut(real_budget)
+    res = falsify(sut, req, signal, real_budget=real_budget, n_initial=n_initial,
+                  surrogate_budget=surrogate_budget, arx=ArxConfig(na, nb, nk),
+                  seed=seed)
+    check_trial_bounds(res, sut, signal, real_budget)
+    n_zero = min(n_initial, real_budget)
+    labels = [0] * n_zero + list(range(1, real_budget - n_zero + 1))
+    assert [r.round for r in res.rounds] == labels[:len(res.rounds)]
+    for row in res.rounds:
+        assert (row.surrogate_residual is None) == (row.round == 0)
+        assert (row.best_surrogate_robustness is None) == (row.round == 0)
+
+    sut = CountingSut(real_budget)
+    res = random_baseline(sut, req, signal, real_budget=real_budget, seed=seed)
+    check_trial_bounds(res, sut, signal, real_budget)
+    assert [r.round for r in res.rounds] == list(range(len(res.rounds)))
 
 
 @pytest.mark.parametrize("search", [falsify, random_baseline])
