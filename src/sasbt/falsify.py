@@ -223,8 +223,8 @@ def surrogate_objective(model: ArxModel, rho: Callable[[np.ndarray], float],
 
 @dataclass
 class RoundLog:
-    """One real simulation: round 0 rows are the initial dataset (no
-    surrogate yet), later rows carry the surrogate diagnostics."""
+    """One real simulation.  `round` is 0 for `falsify`'s initial samples and k
+    for its k-th surrogate round; `random_baseline` numbers its draws 0, 1, 2, ..."""
 
     round: int
     surrogate_residual: float | None

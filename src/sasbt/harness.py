@@ -17,6 +17,7 @@ functions and compares the bytes.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -372,6 +373,54 @@ def _write(out: Path, texts: dict[str, str]) -> dict:
     return json.loads(texts["report.json"])
 
 
+def _stripe(run, tasks: list, send) -> None:
+    """Send a worker's results to the caller, or the exception that stopped it."""
+    try:
+        send.send([run(t) for t in tasks])
+    except Exception as exc:
+        send.send(exc)
+
+
+def _in_parallel(run, tasks: list) -> list:
+    """`[run(t) for t in tasks]`; task i runs on worker i mod W, W = usable CPUs
+    capped at len(tasks).  The caller runs the last stripe and forks a child for
+    each other one.  Tasks seed their own generators, so no result depends on W."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)), len(tasks)) if affinity else 1
+    if workers <= 1:
+        return [run(t) for t in tasks]
+    import multiprocessing  # at use: keeps `import sasbt` cheap
+
+    context = multiprocessing.get_context("fork")  # a spawned child re-imports sasbt
+    children = []
+    try:
+        for w in range(workers - 1):
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_stripe, args=(run, tasks[w::workers], send))
+            child.start()  # flushes stdout and stderr before forking
+            send.close()  # so a child that dies leaves its pipe at EOF
+            children.append((child, receive))
+        stripes = [None] * (workers - 1) + [[run(t) for t in tasks[workers - 1::workers]]]
+        for w, (child, receive) in enumerate(children):
+            try:
+                stripes[w] = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"worker process exited with code {child.exitcode} "
+                                   "before sending its results") from None
+            if isinstance(stripes[w], Exception):
+                raise stripes[w]
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+    return [stripes[i % workers][i // workers] for i in range(len(tasks))]
+
+
 # ---------- compare experiment ----------
 
 
@@ -392,32 +441,34 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
     pop = config.search.population
     generations = config.budget // pop - 1
 
-    runs: list[dict] = []  # algorithm, repetition, archive, checkpoints
-    region_reports: list[dict] = []
-    wall = 0.0
-    for rep in range(config.repetitions):
+    def search(task: tuple[str, int]) -> dict:
+        algorithm, rep = task
         seed = config.base_seed + rep
-        base_cfg = replace(config.search, generations=generations, seed=seed)
         t0 = time.perf_counter()
-        _, archive = evolve(space, base_cfg, evaluator, run_id=rep)
-        dt_base = time.perf_counter() - t0
-        runs.append({"algorithm": "nsga2", "repetition": rep, "archive": archive,
-                     "checkpoints": [("g%02d" % g, pop * (g + 1))
-                                     for g in range(generations + 1)]})
+        if algorithm == "nsga2":
+            _, archive = evolve(space, replace(config.search, generations=generations,
+                                               seed=seed), evaluator, run_id=rep)
+            checkpoints = [("g%02d" % g, pop * (g + 1)) for g in range(generations + 1)]
+            regions = None
+        else:
+            result = nsga2_dt(space, evaluator, replace(config.dt, seed=seed))
+            archive, checkpoints = result.archive, stage_checkpoints(result.stages)
+            regions = {"repetition": rep, "seed": seed, "iterations": result.iterations}
+        return {"algorithm": algorithm, "repetition": rep, "archive": archive,
+                "checkpoints": checkpoints, "regions": regions,
+                "seconds": time.perf_counter() - t0}
 
-        t0 = time.perf_counter()
-        result = nsga2_dt(space, evaluator, replace(config.dt, seed=seed))
-        dt_guided = time.perf_counter() - t0
-        runs.append({"algorithm": "nsga2dt", "repetition": rep,
-                     "archive": result.archive,
-                     "checkpoints": stage_checkpoints(result.stages)})
-        region_reports.append({"repetition": rep, "seed": seed,
-                               "iterations": result.iterations})
-        wall += dt_base + dt_guided
-        if not quiet:
-            print(f"rep {rep}: nsga2 {len(archive)} evals ({dt_base:.1f}s), "
-                  f"nsga2dt {len(result.archive)} evals ({dt_guided:.1f}s)")
+    t0 = time.perf_counter()
+    runs = _in_parallel(search, [(algorithm, rep) for rep in range(config.repetitions)
+                                 for algorithm in ALGORITHMS])
+    wall = time.perf_counter() - t0
+    if not quiet:
+        for plain, guided in zip(runs[::2], runs[1::2]):
+            print(f"rep {plain['repetition']}: nsga2 {len(plain['archive'])} evals "
+                  f"({plain['seconds']:.1f}s), nsga2dt {len(guided['archive'])} evals "
+                  f"({guided['seconds']:.1f}s)")
 
+    region_reports = [r["regions"] for r in runs if r["regions"]]
     for r in runs:
         run_id = _run_id(r["algorithm"], r["repetition"])
         r["archive"].to_csv(out / f"archive_{run_id}.csv")
@@ -444,7 +495,7 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
               f"nsga2dt {med['nsga2dt']:g} (ratio "
               f"{'undefined' if ratio is None else format(ratio, '.2f')}, "
               f"p {'n/a' if pvalue is None else format(pvalue, '.4g')})")
-        print(f"wall time total {wall:.1f}s (not persisted)")
+        print(f"wall time {wall:.1f}s (not persisted)")
     return report
 
 
@@ -460,23 +511,22 @@ def run_falsify(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sut = partial(benchmark_sut, config.system)
-    results = []
-    t0 = time.perf_counter()
-    for trial in range(config.repetitions):
-        seed = config.base_seed + trial
+
+    def trial(seed: int) -> FalsifyResult:
         if config.method == "random":
-            res = random_baseline(sut, config.requirement, config.signal,
-                                  real_budget=config.real_budget, seed=seed)
-        else:
-            res = falsify(sut, config.requirement, config.signal,
-                          real_budget=config.real_budget,
-                          surrogate_budget=config.surrogate_budget,
-                          arx=config.arx, n_initial=config.n_initial, seed=seed)
-        results.append(res)
-        if not quiet:
-            print(f"trial {trial}: {'falsified' if res.falsified else 'exhausted'} "
-                  f"after {res.real_simulations} real simulations")
+            return random_baseline(sut, config.requirement, config.signal,
+                                   real_budget=config.real_budget, seed=seed)
+        return falsify(sut, config.requirement, config.signal, real_budget=config.real_budget,
+                       surrogate_budget=config.surrogate_budget, arx=config.arx,
+                       n_initial=config.n_initial, seed=seed)
+
+    t0 = time.perf_counter()
+    results = _in_parallel(trial, [config.base_seed + i for i in range(config.repetitions)])
     wall = time.perf_counter() - t0
+    if not quiet:
+        for i, res in enumerate(results):
+            print(f"trial {i}: {'falsified' if res.falsified else 'exhausted'} "
+                  f"after {res.real_simulations} real simulations")
 
     head = {
         "kind": "falsify",

@@ -2,9 +2,16 @@
 
 A small equal-budget comparison (budget 80, 2 repetitions) is run once per
 module and shared; the byte-identical rerun check runs it a second time.
+The last section fakes the usable CPU set (`os.sched_getaffinity`) to run
+experiments with one, two and three workers.
 """
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -690,3 +697,140 @@ def test_cli_indicators_scores_archive(tmp_path: Path, compare_run: tuple[Path, 
     scores = json.loads(dest.read_text())
     assert scores == json.loads(printed)
     assert scores["evaluations"] == 80
+
+
+# ---------- searches and trials on every usable CPU ----------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _use_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _no_children(*args):
+    raise AssertionError("a one-CPU run started a worker process")
+
+
+def test_task_i_runs_on_worker_i_mod_w_and_the_caller_runs_the_last_stripe(
+        monkeypatch) -> None:
+    _use_cpus(monkeypatch, 3)
+    results = harness._in_parallel(lambda t: (t, os.getpid()), list(range(7)))
+    assert [t for t, _ in results] == list(range(7))
+    pids = [{pid for t, pid in results if t % 3 == w} for w in range(3)]
+    assert all(len(p) == 1 for p in pids)
+    assert pids[2] == {os.getpid()} and len(pids[0] | pids[1]) == 2
+    assert os.getpid() not in pids[0] | pids[1]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("name", ["compare_small", "falsify_tank", "falsify_lti2"])
+def test_outputs_are_byte_identical_for_any_number_of_cpus(
+        name: str, tmp_path: Path, monkeypatch) -> None:
+    config = ExperimentConfig.from_file(ROOT / "configs" / f"{name}.cfg")
+    config.repetitions = 3  # 6 searches, or 3 trials that 2 CPUs split 2 + 1
+    run = run_compare if config.kind == "compare" else run_falsify
+    outputs = []
+    for cpus in (1, 2, 3):
+        out = tmp_path / f"cpus{cpus}"
+        with monkeypatch.context() as m:
+            _use_cpus(m, cpus)
+            if cpus == 1:
+                m.setattr(multiprocessing, "get_context", _no_children)
+            run(config, out, quiet=True)
+        assert multiprocessing.active_children() == []
+        assert replay(out, quiet=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _fail_in_children(monkeypatch, kind: str, fail) -> str:
+    """A config of `kind` on two CPUs whose SUT or evaluator calls `fail()`
+    in a worker process and works in the caller."""
+    _use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def in_children(fn):
+        def call(*args):
+            if os.getpid() != caller:
+                fail()
+            return fn(*args)
+        return call
+
+    if kind == "compare":
+        make = harness.scenario.make_evaluator
+        monkeypatch.setattr(harness.scenario, "make_evaluator",
+                            lambda sim: in_children(make(sim)))
+        return COMPARE_TEXT
+    monkeypatch.setattr(harness, "benchmark_sut", in_children(harness.benchmark_sut))
+    return FALSIFY_TEXT
+
+
+def _raise_value_error():
+    raise ValueError("failed in a worker")
+
+
+@pytest.mark.parametrize("kind", ["compare", "falsify"])
+def test_an_error_in_a_worker_surfaces_with_its_type(
+        kind: str, tmp_path: Path, monkeypatch, capsys) -> None:
+    text = _fail_in_children(monkeypatch, kind, _raise_value_error)
+    run = run_compare if kind == "compare" else run_falsify
+    with pytest.raises(ValueError, match="failed in a worker"):
+        run(ExperimentConfig.from_text(text), tmp_path / "direct", quiet=True)
+    assert multiprocessing.active_children() == []
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "cli"),
+                     "--quiet"]) == cli.EXIT_RUNTIME
+    assert "failed in a worker" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_becomes_a_runtime_error(tmp_path: Path, monkeypatch) -> None:
+    text = _fail_in_children(monkeypatch, "falsify", lambda: os._exit(1))
+    with pytest.raises(RuntimeError, match="code 1"):
+        run_falsify(ExperimentConfig.from_text(text), tmp_path, quiet=True)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_the_callers_stripe_stops_the_workers_at_once(
+        tmp_path: Path, monkeypatch) -> None:
+    _use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def sut(system, u):
+        if os.getpid() == caller:
+            raise ValueError("failed in the caller")
+        time.sleep(60)
+
+    monkeypatch.setattr(harness, "benchmark_sut", sut)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="failed in the caller"):
+        run_falsify(ExperimentConfig.from_text(FALSIFY_TEXT), tmp_path, quiet=True)
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+PIPED_RUNS = """
+import os, sys
+from sasbt import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}
+print("before the runs")  # still in the pipe's buffer when the first worker forks
+for command, config in (("compare", "compare_small.cfg"), ("falsify", "falsify_lti2.cfg")):
+    assert cli.main([command, "--config", "configs/" + config, "--reps", "2",
+                     "--out", os.path.join(sys.argv[1], command)]) == 0
+"""
+
+
+def test_piped_progress_lines_are_printed_once(tmp_path: Path) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    lines = subprocess.run([sys.executable, "-c", PIPED_RUNS, str(tmp_path)], env=env,
+                           cwd=ROOT, check=True, stdout=subprocess.PIPE,
+                           text=True).stdout.splitlines()
+    starts = ["before the runs", "rep 0:", "rep 1:", "distinct critical medians:",
+              "wall time", "trial 0:", "trial 1:", "FR "]
+    assert len(lines) == len(starts)
+    assert all(line.startswith(start) for line, start in zip(lines, starts)), lines

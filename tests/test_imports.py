@@ -27,6 +27,14 @@ def test_import_sasbt_defers_scipy_signal_and_stats():
     assert run_python(code).strip() == "[]"
 
 
+def test_loading_a_config_leaves_multiprocessing_unloaded():
+    # the harness imports it when a run starts worker processes
+    code = ("import sys, sasbt; from sasbt.harness import ExperimentConfig; "
+            "ExperimentConfig.from_file('configs/compare_default.cfg'); "
+            "print('multiprocessing' in sys.modules)")
+    assert run_python(code).strip() == "False"
+
+
 FALSIFY_WITHOUT_SCIPY_SIGNAL = """
 import sys, tempfile
 from pathlib import Path
