@@ -6,12 +6,13 @@ base_seed + repetition index and writes deterministic artifacts: rerunning
 the same config produces byte-identical files.  Wall-clock timings are
 printed to the console only, never persisted, to keep outputs reproducible.
 
-An experiment first runs (searches or trials, results kept in memory) and
-then renders: `_compare_outputs` and `_falsify_outputs` turn the results
-into the text of every derived artifact.  The run writes that text; `replay`
-rebuilds the same inputs from the persisted archives and snapshot
-checkpoints, or from the trial round logs, renders them through the same
-functions and compares the bytes.
+An experiment first runs (searches or trials, results kept in memory; a
+search also writes its archive CSV) and then renders: `_compare_outputs`
+and `_falsify_outputs` turn the results into the text of every derived
+artifact.  The run writes that text; `replay` rebuilds the same inputs
+from the persisted archives and snapshot checkpoints, or from the trial
+round logs, renders them through the same functions and compares the
+bytes.
 """
 
 from __future__ import annotations
@@ -304,20 +305,19 @@ def _compare_outputs(head: dict, runs: list[dict]) -> dict[str, str]:
     """
     policy = indicators.DistinctnessPolicy(**head["distinctness"])
     quarter = head["budget"] // 4
-    arrays = [(r["archive"].objective_array(), r["archive"].genome_array(),
-               r["archive"].critical_array()) for r in runs]
-    ref = indicators.build_reference([objs for objs, _, _ in arrays])
+    ref = indicators.build_reference([r["archive"].objectives for r in runs])
     snapshots = ["run_id,stage,evaluations,hv,gd,spread,distinct_critical\n"]
     plots = ["algorithm,repetition,evaluations,metric,value\n"]
     report_runs = []
-    for r, (objs, genomes, critical) in zip(runs, arrays):
-        run_id = _run_id(r["algorithm"], r["repetition"])
+    for r in runs:
+        run_id, archive = _run_id(r["algorithm"], r["repetition"]), r["archive"]
         counts = [count for _, count in r["checkpoints"]]
-        if not counts or counts[-1] != len(objs):
+        if not counts or counts[-1] != len(archive):
             raise ValueError(f"{run_id}: checkpoints do not end at the archive "
-                             f"length {len(objs)}")
+                             f"length {len(archive)}")
         *rows, at_quarter = indicators.prefix_indicators(
-            objs, genomes, critical, counts + [quarter], ref, policy)
+            archive.objectives, archive.genomes, archive.critical, counts + [quarter],
+            ref, policy)
         for (stage, count), v in zip(r["checkpoints"], rows):
             snapshots.append(f"{run_id},{stage},{count},{v['hv']!r},{v['gd']!r},"
                              f"{v['spread']!r},{v['distinct_critical']}\n")
@@ -329,7 +329,7 @@ def _compare_outputs(head: dict, runs: list[dict]) -> dict[str, str]:
             "seed": head["base_seed"] + r["repetition"],
             "repetition": r["repetition"], "archive_csv": f"archive_{run_id}.csv",
             "snapshots_csv": "snapshots.csv",
-            "summary": {"evaluations": len(objs),
+            "summary": {"evaluations": len(archive),
                         "distinct_critical": final["distinct_critical"],
                         "final_hv": final["hv"], "final_gd": final["gd"],
                         "final_spread": final["spread"],
@@ -454,6 +454,8 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
             result = nsga2_dt(space, evaluator, replace(config.dt, seed=seed))
             archive, checkpoints = result.archive, stage_checkpoints(result.stages)
             regions = {"repetition": rep, "seed": seed, "iterations": result.iterations}
+        # written by the worker that ran the search, beside the other searches
+        archive.to_csv(out / f"archive_{_run_id(algorithm, rep)}.csv")
         return {"algorithm": algorithm, "repetition": rep, "archive": archive,
                 "checkpoints": checkpoints, "regions": regions,
                 "seconds": time.perf_counter() - t0}
@@ -469,9 +471,6 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
                   f"({guided['seconds']:.1f}s)")
 
     region_reports = [r["regions"] for r in runs if r["regions"]]
-    for r in runs:
-        run_id = _run_id(r["algorithm"], r["repetition"])
-        r["archive"].to_csv(out / f"archive_{run_id}.csv")
     with open(out / "regions.json", "w", encoding="utf-8") as fh:
         json.dump(region_reports, fh, indent=2, sort_keys=True)
     head = {

@@ -223,25 +223,30 @@ class DistinctnessPolicy:
 def distinct_critical(genomes: np.ndarray,
                       policy: DistinctnessPolicy | None = None) -> int:
     """Count distinct critical scenarios among the given genomes."""
+    return int(np.count_nonzero(_new_scenarios(genomes, policy)))
+
+
+def _new_scenarios(genomes: np.ndarray,
+                   policy: DistinctnessPolicy | None) -> np.ndarray:
+    """Per row, whether it is a scenario distinct from every row before it;
+    the running sum counts the distinct scenarios of every prefix."""
     policy = policy or DistinctnessPolicy()
     policy.validate()
     g = np.asarray(genomes, dtype=float)
+    new = np.zeros(len(g), dtype=bool)
     if g.size == 0:
-        return 0
+        return new
     if g.ndim != 2:
         raise ValueError("genomes must be a 2-D (N, n) array")
     if policy.mode == "any-difference":
-        return int(np.unique(g, axis=0).shape[0])
-    accepted: list[np.ndarray] = []
-    for row in g:
-        ok = True
-        for a in accepted:
-            if int(np.sum(np.abs(row - a) > policy.epsilon)) < policy.min_vars:
-                ok = False
-                break
-        if ok:
-            accepted.append(row)
-    return len(accepted)
+        # groups rows by value (+0.0 equals -0.0, a row holding a NaN is its
+        # own group); the stable sort behind return_index gives first rows
+        new[np.unique(g, axis=0, return_index=True)[1]] = True
+        return new
+    for i, row in enumerate(g):  # greedy: kept if far from every row kept before
+        far = np.abs(row - g[:i][new[:i]]) > policy.epsilon
+        new[i] = np.all(np.count_nonzero(far, axis=1) >= policy.min_vars)
+    return new
 
 
 # ---------- archive prefixes against a shared reference ----------
@@ -250,8 +255,9 @@ def distinct_critical(genomes: np.ndarray,
 @dataclass
 class Reference:
     """What every archive prefix is scored against: per-objective bounds
-    over all archives, the normalized non-dominated front of their union,
-    that front's low-f1 and high-f1 extremes (two objectives only) and the
+    over all archives, the distinct points of the normalized non-dominated
+    front of their union (a copy never changes a nearest distance), that
+    front's low-f1 and high-f1 extremes (two objectives only) and the
     hypervolume reference point 1.01 per objective."""
 
     bounds: np.ndarray
@@ -268,7 +274,7 @@ def build_reference(objective_sets: list[np.ndarray]) -> Reference:
     hi = allobj.max(axis=0)
     hi = np.where(hi - lo <= 0, lo + 1.0, hi)  # guard degenerate ranges
     bounds = np.stack([lo, hi], axis=1)
-    front = normalize(non_dominated_filter(allobj), bounds)
+    front = normalize(np.unique(non_dominated_filter(allobj), axis=0), bounds)
     extremes = None
     if m == 2:
         order = np.lexsort((front[:, 1], front[:, 0]))
@@ -285,17 +291,31 @@ def prefix_indicators(objectives: np.ndarray, genomes: np.ndarray,
     The rows of (N, m) `objectives`, (N, n) `genomes` and (N,) boolean
     `critical` are in evaluation order.  Returns one {"hv", "gd", "spread",
     "distinct_critical"} dict per count; hv is nan beyond three objectives
-    and spread beyond two."""
+    and spread beyond two.  Counts are visited in ascending order: a
+    prefix's front is filtered from the previous front and the rows added
+    since, in archive order, which is the front of the whole prefix as
+    dominance is transitive.  A front equal to the previous one keeps its
+    scores; distinct critical scenarios are counted once over all rows."""
     m = objectives.shape[1]
-    rows = []
-    for count in counts:
-        norm = normalize(non_dominated_filter(objectives[:count]), ref.bounds)
-        rows.append({
-            "hv": hypervolume(norm, ref.point) if m in (2, 3) else float("nan"),
-            "gd": generational_distance(norm, ref.front),
-            "spread": (spread(norm, ref.extremes)
-                       if ref.extremes is not None else float("nan")),
-            "distinct_critical": distinct_critical(
-                genomes[:count][critical[:count]], policy),
-        })
+    normalized = normalize(objectives, ref.bounds)  # elementwise: any rows' values
+    crit_rows = np.flatnonzero(critical)
+    distinct = np.cumsum(_new_scenarios(genomes[crit_rows], policy)).tolist()
+    rows: list[dict] = [{}] * len(counts)
+    front, done, scores = np.empty(0, dtype=np.intp), 0, None
+    for i in sorted(range(len(counts)), key=counts.__getitem__):
+        count = min(counts[i], len(objectives))
+        if scores is None or count > done:
+            grown = np.concatenate([front, np.arange(done, count)])
+            grown = grown[non_dominated_mask(objectives[grown])]
+            if scores is None or not np.array_equal(grown, front):
+                norm = normalized[grown]
+                scores = {
+                    "hv": hypervolume(norm, ref.point) if m in (2, 3) else float("nan"),
+                    "gd": generational_distance(norm, ref.front),
+                    "spread": (spread(norm, ref.extremes)
+                               if ref.extremes is not None else float("nan")),
+                }
+            front, done = grown, count
+        k = int(np.searchsorted(crit_rows, count))  # critical rows in the prefix
+        rows[i] = {**scores, "distinct_critical": distinct[k - 1] if k else 0}
     return rows

@@ -312,11 +312,15 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig | None = None) -> FitnessV
             a = cfg.comfort_decel if comfort else 0.0
         # hold it to the horizon: v_{j+1} = max(0, v_j - a dt), x_{j+1} = x_j + v_j dt
         cruise = a == 0.0 and v > 0.0  # v - 0.0 == v: the speed stays v
+        # np.empty + fill: np.full's values without its Python wrapper's cost
         if cruise:
-            vs = np.full(n - k + 1, v, dtype=float)
-            xs = np.full(n - k + 1, v * dt)
+            vs = np.empty(n - k + 1)
+            vs.fill(v)
+            xs = np.empty(n - k + 1)
+            xs.fill(v * dt)
         else:
-            steps = np.full(n - k + 1, a * dt)
+            steps = np.empty(n - k + 1)
+            steps.fill(a * dt)
             steps[0] = v
             raw = np.subtract.accumulate(steps)
             vs = np.where(raw > 0.0, raw, 0.0)  # max(0.0, .) maps -0.0 to 0.0 too
@@ -330,15 +334,15 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig | None = None) -> FitnessV
             xj = xs[1:-1]  # later steps that choose a deceleration
             vj = v if cruise else vs[1:-1]
             v_sq = vj * vj
-            flips = np.flatnonzero((cfg.spot_x - xj <= v_sq / (2.0 * cfg.comfort_decel))
-                                   != comfort)
+            flips = ((cfg.spot_x - xj <= v_sq / (2.0 * cfg.comfort_decel))
+                     != comfort).nonzero()[0]
             if flips.size:
                 cut = int(flips[0]) + 1
             gap = px0 - xj[:cut - 1]
             envelope = (in_corridor[k + 1:k + cut] & (gap >= 0.0)
                         & (gap <= (v_sq if cruise else v_sq[:cut - 1]) / (2.0 * cfg.max_decel)
                            + cfg.brake_margin))
-            for j in np.flatnonzero(envelope) + 1:
+            for j in envelope.nonzero()[0] + 1:
                 if _detects(float(xs[j]), 0.0, px0, float(ped_y[k + j]), cfg, tan_half):
                     cut = int(j)
                     break

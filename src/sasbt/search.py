@@ -16,7 +16,7 @@ quantity negate it in their evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,7 +86,6 @@ class SearchConfig:
 # ---------- archive ----------
 
 
-@dataclass
 class EvaluationArchive:
     """Append-only log of every real evaluation.
 
@@ -96,26 +95,59 @@ class EvaluationArchive:
     accounting and for all post-hoc indicator computation.  A genome whose
     bytes are already in the archive is not re-simulated by `evaluate`: its
     row copies the first such row's result, and still counts as a row.
+
+    The rows live in four column arrays (genomes (N, n), objectives (N, m),
+    critical (N,), run_ids (N,)) whose capacity doubles when full; the
+    properties are read-only views of the filled rows.  A pickled archive
+    is those views alone.
     """
 
-    genomes: list[np.ndarray] = field(default_factory=list)
-    objectives: list[np.ndarray] = field(default_factory=list)
-    critical: list[bool] = field(default_factory=list)
-    run_ids: list[int] = field(default_factory=list)
-    first_row: dict[bytes, int] = field(default_factory=dict, repr=False)
+    def __init__(self) -> None:
+        self.__setstate__((np.empty((0, 0)), np.empty((0, 0)),
+                           np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)))
+
+    def __getstate__(self) -> tuple[np.ndarray, ...]:
+        return self.genomes, self.objectives, self.critical, self.run_ids
+
+    def __setstate__(self, columns: tuple[np.ndarray, ...]) -> None:
+        self._columns = list(columns)
+        self._n = len(columns[3])  # full: the next append reallocates
+        self.first_row: dict[bytes, int] = {}
+        for row, genome in enumerate(columns[0]):
+            self.first_row.setdefault(genome.tobytes(), row)
+
+    def _view(self, column: int) -> np.ndarray:
+        view = self._columns[column][:self._n]
+        view.flags.writeable = False
+        return view
+
+    genomes = property(lambda self: self._view(0))
+    objectives = property(lambda self: self._view(1))
+    critical = property(lambda self: self._view(2))
+    run_ids = property(lambda self: self._view(3))
+    genome_array, objective_array, critical_array = (
+        genomes.fget, objectives.fget, critical.fget)  # the same views, called
 
     def __len__(self) -> int:
-        return len(self.genomes)
+        return self._n
 
     def append(self, genome: np.ndarray, objectives: np.ndarray, critical: bool,
                run_id: int) -> int:
-        genome = np.asarray(genome, dtype=float).copy()
-        self.first_row.setdefault(genome.tobytes(), len(self.genomes))
-        self.genomes.append(genome)
-        self.objectives.append(np.asarray(objectives, dtype=float).copy())
-        self.critical.append(bool(critical))
-        self.run_ids.append(int(run_id))
-        return len(self.genomes) - 1
+        row = self._n
+        if row == len(self._columns[3]):
+            size = 2 * row or 64
+            self._columns = [
+                np.concatenate([col[:row], np.empty((size - row, *np.shape(new)), col.dtype)])
+                if row else np.empty((size, *np.shape(new)), col.dtype)
+                for col, new in zip(self._columns, (genome, objectives, critical, run_id))]
+        genomes, objs, crit, run_ids = self._columns
+        genomes[row] = genome
+        objs[row] = objectives
+        crit[row] = critical
+        run_ids[row] = run_id
+        self.first_row.setdefault(genomes[row].tobytes(), row)
+        self._n = row + 1
+        return row
 
     def evaluate(self, genome: np.ndarray, evaluator: Evaluator, run_id: int) -> int:
         """Append the evaluation of `genome` and return its row; a repeated
@@ -124,52 +156,38 @@ class EvaluationArchive:
         if row is None:
             objs, critical = evaluator(genome)
         else:
-            objs, critical = self.objectives[row], self.critical[row]
+            objs, critical = self._columns[1][row], self._columns[2][row]
         return self.append(genome, objs, critical, run_id)
-
-    def genome_array(self) -> np.ndarray:
-        return np.asarray(self.genomes, dtype=float)
-
-    def objective_array(self) -> np.ndarray:
-        return np.asarray(self.objectives, dtype=float)
-
-    def critical_array(self) -> np.ndarray:
-        return np.asarray(self.critical, dtype=bool)
 
     def to_csv(self, path) -> None:
         """Write rows as run_id,eval_index,g0..,o0..,critical."""
+        n, m = (self.genomes.shape[1], self.objectives.shape[1]) if len(self) else (0, 0)
+        header = (["run_id", "eval_index"] + [f"g{i}" for i in range(n)]
+                  + [f"o{j}" for j in range(m)] + ["critical"])
+        row = "{},{}," + "{!r}," * (n + m) + "{:d}\n"  # repr(float): shortest round trip
+        values = np.hstack([self.genomes, self.objectives]).tolist()
         with open(path, "w", encoding="utf-8") as fh:
-            if len(self) == 0:
-                fh.write("run_id,eval_index,critical\n")
-                return
-            n = self.genomes[0].size
-            m = self.objectives[0].size
-            cols = (["run_id", "eval_index"]
-                    + [f"g{i}" for i in range(n)]
-                    + [f"o{j}" for j in range(m)]
-                    + ["critical"])
-            fh.write(",".join(cols) + "\n")
-            for idx in range(len(self)):
-                row = ([str(self.run_ids[idx]), str(idx)]
-                       + [repr(float(v)) for v in self.genomes[idx]]
-                       + [repr(float(v)) for v in self.objectives[idx]]
-                       + ["1" if self.critical[idx] else "0"])
-                fh.write(",".join(row) + "\n")
+            fh.write(",".join(header) + "\n")
+            fh.writelines(row.format(run_id, idx, *vals, crit) for idx, (run_id, vals, crit)
+                          in enumerate(zip(self.run_ids.tolist(), values,
+                                           self.critical.tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "EvaluationArchive":
-        archive = cls()
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            g_cols = [i for i, c in enumerate(header) if c.startswith("g")]
-            o_cols = [i for i, c in enumerate(header) if c.startswith("o")]
-            for line in fh:
-                parts = line.strip().split(",")
-                if not parts or parts == [""]:
-                    continue
-                archive.append(np.array([float(parts[i]) for i in g_cols]),
-                               np.array([float(parts[i]) for i in o_cols]),
-                               parts[-1] == "1", int(parts[0]))
+            rows = [parts for parts in (line.strip().split(",") for line in fh)
+                    if parts != [""]]
+
+        def floats(prefix: str) -> np.ndarray:
+            cols = [i for i, c in enumerate(header) if c.startswith(prefix)]
+            return np.array([[float(p[i]) for i in cols] for p in rows]).reshape(
+                len(rows), len(cols))
+
+        archive = cls.__new__(cls)
+        archive.__setstate__((floats("g"), floats("o"),
+                              np.array([p[-1] == "1" for p in rows], dtype=bool),
+                              np.array([int(p[0]) for p in rows], dtype=np.int64)))
         return archive
 
 
@@ -390,15 +408,12 @@ def evolve(space: SearchSpace, config: SearchConfig, evaluator: Evaluator, *,
     rng = np.random.default_rng(config.seed)
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.dim
 
-    def objectives(rows: list[int]) -> np.ndarray:
-        return np.asarray([archive.objectives[i] for i in rows])
-
     population = [int(row) for row in seeds]
     n_new = config.population - len(population)
     if n_new > 0:
         population += [archive.evaluate(genome, evaluator, run_id)
                        for genome in lhs_sample(space, n_new, rng)]
-    _, rank, crowding = rank_and_crowding(objectives(population))
+    _, rank, crowding = rank_and_crowding(archive.objectives[population])
 
     for _ in range(config.generations):
         offspring: list[int] = []
@@ -412,7 +427,7 @@ def evolve(space: SearchSpace, config: SearchConfig, evaluator: Evaluator, *,
                                                config.mutation_index)
                 offspring.append(archive.evaluate(space.clip(mutated), evaluator, run_id))
         merged = population + offspring
-        fronts, rank, crowding = rank_and_crowding(objectives(merged))
+        fronts, rank, crowding = rank_and_crowding(archive.objectives[merged])
         # survivors keep the rank and crowding they have in the merged population
         keep = environmental_selection(fronts, crowding, merged, config.population)
         population = [merged[i] for i in keep]

@@ -6,11 +6,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sasbt.indicators import (DistinctnessPolicy, distinct_critical,
-                              generational_distance, hypervolume,
-                              non_dominated_filter, non_dominated_mask,
-                              normalize, spread)
+from sasbt.indicators import (DistinctnessPolicy, Reference, build_reference,
+                              distinct_critical, generational_distance,
+                              hypervolume, non_dominated_filter,
+                              non_dominated_mask, normalize, prefix_indicators,
+                              spread)
 
 # ---------- oracles ----------
 
@@ -270,3 +273,112 @@ def test_distinct_empty_and_policy_validation():
         DistinctnessPolicy(mode="thresholded", min_vars=0).validate()
     with pytest.raises(ValueError):
         DistinctnessPolicy(mode="thresholded", epsilon=-1.0).validate()
+
+
+# ---------- incremental prefix scoring against the batch pipeline ----------
+
+
+def oracle_distinct(genomes: np.ndarray, policy: DistinctnessPolicy) -> int:
+    """Distinct scenarios counted from scratch: np.unique rows, or the
+    greedy pairwise double loop."""
+    if genomes.size == 0:
+        return 0
+    if policy.mode == "any-difference":
+        return int(np.unique(genomes, axis=0).shape[0])
+    accepted: list[np.ndarray] = []
+    for row in genomes:
+        if all(int(np.sum(np.abs(row - a) > policy.epsilon)) >= policy.min_vars
+               for a in accepted):
+            accepted.append(row)
+    return len(accepted)
+
+
+def oracle_reference(objective_sets: list[np.ndarray]) -> Reference:
+    """The shared reference with every copy of a front point kept."""
+    allobj = np.vstack(objective_sets)
+    lo, hi = allobj.min(axis=0), allobj.max(axis=0)
+    bounds = np.stack([lo, np.where(hi - lo <= 0, lo + 1.0, hi)], axis=1)
+    front = normalize(non_dominated_filter(allobj), bounds)
+    extremes = None
+    if allobj.shape[1] == 2:
+        order = np.lexsort((front[:, 1], front[:, 0]))
+        extremes = np.stack([front[order[0]], front[order[-1]]])
+    return Reference(bounds, front, extremes, np.full(allobj.shape[1], 1.01))
+
+
+def oracle_prefix_indicators(objectives, genomes, critical, counts, ref, policy):
+    """Every prefix filtered and scored from scratch."""
+    m = objectives.shape[1]
+    rows = []
+    for count in counts:
+        norm = normalize(non_dominated_filter(objectives[:count]), ref.bounds)
+        rows.append({
+            "hv": hypervolume(norm, ref.point) if m in (2, 3) else float("nan"),
+            "gd": generational_distance(norm, ref.front),
+            "spread": (spread(norm, ref.extremes)
+                       if ref.extremes is not None else float("nan")),
+            "distinct_critical": oracle_distinct(genomes[:count][critical[:count]], policy),
+        })
+    return rows
+
+
+# few distinct values: duplicate rows, ties on one objective, both signed zeros
+OBJECTIVE_VALUES = [-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0]
+GENOME_VALUES = [-0.0, 0.0, 0.05, 0.1, 1.0, np.nan]
+
+
+@st.composite
+def scored_archives(draw):
+    m = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 40))
+    values = st.sampled_from(OBJECTIVE_VALUES) | st.floats(-2.0, 4.0)
+    objectives = np.array(draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                                        min_size=size, max_size=size)))
+    genomes = np.array(draw(st.lists(st.lists(st.sampled_from(GENOME_VALUES),
+                                              min_size=n, max_size=n),
+                                     min_size=size, max_size=size)))
+    critical = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    # unsorted, repeated, and one count past the archive (a quarter budget can be)
+    counts = draw(st.lists(st.integers(1, size), min_size=1, max_size=8))
+    counts.insert(draw(st.integers(0, len(counts))), size + draw(st.integers(1, 5)))
+    policy = draw(st.sampled_from([DistinctnessPolicy()]) | st.builds(
+        DistinctnessPolicy, st.just("thresholded"), st.integers(1, n),
+        st.sampled_from([0.0, 0.05, 0.5])))
+    # a second archive widens the reference, as the other runs of a compare do
+    other = np.array(draw(st.lists(st.lists(values, min_size=m, max_size=m), max_size=10)))
+    return objectives, genomes, critical, counts, policy, other.reshape(-1, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scored_archives())
+def test_incremental_prefix_scores_equal_batch_scores(case):
+    objectives, genomes, critical, counts, policy, other = case
+    fast = prefix_indicators(objectives, genomes, critical, counts,
+                             build_reference([objectives, other]), policy)
+    batch = oracle_prefix_indicators(objectives, genomes, critical, counts,
+                                     oracle_reference([objectives, other]), policy)
+    assert repr(fast) == repr(batch)  # bit for bit, signed zeros and NaN included
+    assert distinct_critical(genomes, policy) == oracle_distinct(genomes, policy)
+
+
+def test_prefix_scores_are_reused_while_the_front_stands(monkeypatch):
+    import sasbt.indicators as ind
+
+    objectives = np.array([[3.0, 0.0], [2.0, 1.0], [2.0, 1.0], [0.0, 3.0], [4.0, 4.0]])
+    ref = build_reference([objectives])
+    sizes, scored = [], []
+    mask, hv = ind.non_dominated_mask, ind.hypervolume
+    monkeypatch.setattr(ind, "non_dominated_mask",
+                        lambda pts: (sizes.append(len(pts)), mask(pts))[1])
+    monkeypatch.setattr(ind, "hypervolume",
+                        lambda pts, point: (scored.append(len(pts)), hv(pts, point))[1])
+    rows = prefix_indicators(objectives, np.zeros((5, 1)), np.ones(5, dtype=bool),
+                             [2, 5, 2, 4, 9], ref)
+    assert [row["distinct_critical"] for row in rows] == [1, 1, 1, 1, 1]
+    assert rows[0] == rows[2] and rows[1] == rows[3] == rows[4]
+    # count 2 filters 2 rows; count 4 the 2-row front and rows 2..3; count 5
+    # the 4-row front (with its copy) and row 4, which is dominated, so the
+    # front stands and is not rescored; count 9 is past the archive
+    assert scored == [2, 4]
+    assert sizes == [2, 2, 4, 4, 5]  # hypervolume filters what it scores

@@ -1,8 +1,12 @@
 """Evolutionary core: dominance, sorting, crowding, sampling, archive,
 and the full NSGA-II loop, checked against brute-force oracles."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sasbt.search import (EvaluationArchive, SearchConfig, SearchSpace,
                           crowding_distance, dominates,
@@ -177,7 +181,7 @@ def test_archive_roundtrip(tmp_path):
                                   archive.objective_array())
     np.testing.assert_array_equal(back.critical_array(),
                                   archive.critical_array())
-    assert back.run_ids == archive.run_ids
+    np.testing.assert_array_equal(back.run_ids, archive.run_ids)
 
 
 def _sphere_evaluator(genome):
@@ -235,7 +239,7 @@ def test_evolve_evaluates_only_fresh_genomes_and_returns_archive_rows(n_seeds):
             fresh.append(genome)
     np.testing.assert_array_equal(np.reshape(calls, (-1, 2)), np.reshape(fresh, (-1, 2)))
     np.testing.assert_array_equal(archive.genome_array()[:len(before)], before)
-    assert archive.run_ids[len(before):] == [9] * len(added)
+    assert archive.run_ids[len(before):].tolist() == [9] * len(added)
     # a reused row holds exactly what evaluating its genome gives
     for row in range(len(before), len(archive)):
         objs, critical = _sphere_evaluator(archive.genomes[row])
@@ -289,6 +293,108 @@ def test_archive_reuses_only_byte_identical_genomes(tmp_path):
     assert back.first_row == archive.first_row
     assert back.evaluate(np.array([-0.0, 1.0]), counting, run_id=1) == 4
     assert len(calls) == 3 and back.objectives[4].tobytes() == back.objectives[2].tobytes()
+
+
+# ---------- column storage, pickling and CSV ----------
+
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1, -1.5, 2.0 ** 60]
+
+
+def _special_archive(rows: int) -> EvaluationArchive:
+    """Archive of special float values, with repeated genomes."""
+    rng = np.random.default_rng(rows)
+    archive = EvaluationArchive()
+    for i in range(rows):
+        genome = rng.choice(SPECIAL, size=3) if i % 4 else np.array([0.1, -0.0, 2.0])
+        archive.append(genome, rng.choice(SPECIAL, size=2), bool(rng.integers(2)), i % 5)
+    return archive
+
+
+def reference_csv(archive: EvaluationArchive) -> str:
+    """The archive CSV written row by row, one value at a time."""
+    if len(archive) == 0:
+        return "run_id,eval_index,critical\n"
+    n, m = archive.genomes[0].size, archive.objectives[0].size
+    lines = [",".join(["run_id", "eval_index"] + [f"g{i}" for i in range(n)]
+                      + [f"o{j}" for j in range(m)] + ["critical"])]
+    for idx in range(len(archive)):
+        lines.append(",".join([str(archive.run_ids[idx]), str(idx)]
+                              + [repr(float(v)) for v in archive.genomes[idx]]
+                              + [repr(float(v)) for v in archive.objectives[idx]]
+                              + ["1" if archive.critical[idx] else "0"]))
+    return "\n".join(lines) + "\n"
+
+
+def _columns(archive: EvaluationArchive) -> list[str]:
+    """Every column value as text: NaN equals NaN, -0.0 differs from 0.0."""
+    return [repr(col.tolist()) for col in (archive.genomes, archive.objectives,
+                                           archive.critical, archive.run_ids)]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 200])
+def test_archive_pickle_ships_trimmed_columns(rows):
+    archive = _special_archive(rows)
+    state = archive.__getstate__()
+    assert [col.shape for col in state] == [(rows, 3 if rows else 0), (rows, 2 if rows else 0),
+                                            (rows,), (rows,)]
+    back = pickle.loads(pickle.dumps(archive))
+    assert len(back) == rows and _columns(back) == _columns(archive)
+    assert back.first_row == archive.first_row
+    # the copy reuses rows and grows on its own
+    calls = []
+
+    def counting(genome):
+        calls.append(genome)
+        return np.array([1.0, 2.0]), True
+
+    assert back.evaluate(np.array([0.1, -0.0, 2.0]), counting, run_id=7) == rows
+    assert back.evaluate(np.array([0.1, 0.0, 2.0]), counting, run_id=7) == rows + 1
+    assert len(calls) == (2 if rows == 0 else 1)
+    assert back.objectives[rows].tobytes() == (
+        archive.objectives[0].tobytes() if rows else np.array([1.0, 2.0]).tobytes())
+    assert back.run_ids[rows:].tolist() == [7, 7] and len(archive) == rows
+
+
+def test_archive_views_are_read_only_snapshots():
+    archive = _special_archive(64)  # full: the next append reallocates
+    views = [archive.genome_array(), archive.objective_array(), archive.critical_array(),
+             archive.run_ids]
+    before = [view.copy() for view in views]
+    for view in views:
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = view[1]
+    archive.append(np.ones(3), np.ones(2), True, 9)
+    assert len(archive.genome_array()) == 65 and len(views[0]) == 64
+    for view, old in zip(views, before):
+        assert view.tobytes() == old.tobytes()
+    assert archive.genome_array().base is not views[0].base  # grown into new columns
+
+
+@pytest.mark.parametrize("rows", [0, 1, 17, 130])
+def test_archive_csv_matches_row_by_row_writer(tmp_path, rows):
+    archive = _special_archive(rows)
+    path = tmp_path / "a.csv"
+    archive.to_csv(path)
+    assert path.read_text(encoding="utf-8") == reference_csv(archive)
+    back = EvaluationArchive.from_csv(path)
+    assert len(back) == rows and _columns(back) == _columns(archive)
+    assert back.first_row == archive.first_row
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
+                          st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+                          st.booleans(), st.integers(0, 2 ** 40)), max_size=12))
+def test_archive_csv_round_trips_any_float(tmp_path_factory, rows):
+    archive = EvaluationArchive()
+    for genome, objectives, critical, run_id in rows:
+        archive.append(np.array(genome), np.array(objectives), critical, run_id)
+    path = tmp_path_factory.mktemp("csv") / "a.csv"
+    archive.to_csv(path)
+    assert path.read_text(encoding="utf-8") == reference_csv(archive)
+    back = EvaluationArchive.from_csv(path)
+    assert _columns(back) == _columns(archive) and back.first_row == archive.first_row
 
 
 def test_evolve_rejects_too_many_or_foreign_seeds():
