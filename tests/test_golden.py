@@ -32,13 +32,20 @@ comparator.  Both were recorded from the code in which `build_signal` and
 the surrogate objective still expanded theta separately and `falsify` ran
 its initial dataset and its refinement rounds in two loops.
 
+`falsify_tank_band` is `falsify_tank.cfg` with a nested requirement, "the
+level never holds inside [10, 11] for nine samples in a row from t = 10 to
+40", a real budget of 12 and six trials.  Trials 2 and 3 falsify after 7 and
+8 surrogate rounds and trial 5 spends its whole budget, so falsifying and
+best thetas come out of long annealing runs.  Its digests were recorded from
+the code in which the annealer still scored one proposal per surrogate call.
+
 `compare_small` runs small populations.  `compare_default_1rep` is
 `compare_default.cfg` with one repetition, the benchmark's compare-default
 inputs: a population-40 plain search and 20-member, four-generation region
 runs.  Its digests were recorded from the code in which a population was
 still a list of per-member copies of archive rows.
 
-The eight runs take a few seconds in total.
+The nine runs take a few seconds in total.
 """
 
 import hashlib
@@ -59,6 +66,9 @@ DERIVED = {
     "falsify_tank_long_fir": ("falsify_tank", {**LONG, "falsify.arx_na": "0"}),
     "falsify_tank_long_linear": ("falsify_tank", {**LONG, "signal.interpolation": "linear"}),
     "falsify_tank_random": ("falsify_tank", {"falsify.method": "random"}),
+    "falsify_tank_band": ("falsify_tank", {
+        "falsify.requirement": "always[10,40] eventually[0,8] (y0 <= 10 or y0 >= 11)",
+        "falsify.real_budget": "12", "experiment.repetitions": "6"}),
 }
 
 GOLDEN = {
@@ -109,6 +119,16 @@ GOLDEN = {
         "trial_07.jsonl": "229c7fff6dbaef17953867200238e6a852a117db0efad6b41253d00c371ab174",
         "trial_08.jsonl": "1ede82a4e40399263f5e10466c6f4e026f7779a44f52fddd8cfe83ce89bb2afd",
         "trial_09.jsonl": "4569f3d1e578b73460ffe1616a181140adb61bcbb4aa8943b9a210e0e650ff85",
+    },
+    "falsify_tank_band": {
+        "report.json": "ce9f5d0e5acab9a0191b8225172646c3cb52ce2f438ec8a5a4124441949de387",
+        "stats.csv": "55638945285fd229d52525c20729ffce05a6ac48acf819e26bac1da805e9978c",
+        "trial_00.jsonl": "07a0136ffd762e3113aa0d265e845c32e39ec4812615487b6ec52eb275346dcc",
+        "trial_01.jsonl": "6d55c6c1806db4356a7640b07f76c736099e91ca91cf5b76a069dbb9205f1d34",
+        "trial_02.jsonl": "cd37839a094d9357189cce3748219c6a1bdfe17de1bedb78143c8dd293d1fb46",
+        "trial_03.jsonl": "a15a1065ee42e1125dea02d7215bfbc05bd97c2337c644a19e992acbed385e86",
+        "trial_04.jsonl": "e390b917afb96d8534e4e7055620e40222cac6f9e1d8a3966f378527f497ebec",
+        "trial_05.jsonl": "4bb6d3699c9150c9b81553a72a44b65670d6beee6aeb1a274e17f71bae2232df",
     },
     "falsify_tank_long": {
         "report.json": "87eedd6d33181c3bd99306b20f3b1959b566fe6f3256c6f288564607dbd396aa",
