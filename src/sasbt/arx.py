@@ -97,18 +97,22 @@ def _linear_filter():
 
 
 def lfilter(num: np.ndarray, den: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`scipy.signal.lfilter(num, den, x)`, bit for bit, on 1-D float arrays,
-    without importing `scipy.signal`.
+    """`scipy.signal.lfilter(num, den, x)`, bit for bit, on a 1-D float
+    array, or row by row on a (k, n) stack, without importing `scipy.signal`.
 
     With feedback (`den.size > 1`) this calls the compiled direct-form kernel
-    that the public function wraps in array-API dispatch (`_linear_filter`).
-    A pure FIR filter is what scipy's public path computes for a 1-D signal:
-    `np.convolve(num / den[0], x)` cut to `x.size` samples, which raises
-    `ValueError` on an empty `x` as scipy does.  The kernel's sums can differ
-    from the convolution's in the last bit, so the two paths stay apart.
+    that the public function wraps in array-API dispatch (`_linear_filter`),
+    once for the whole stack.  A pure FIR filter is what scipy's public path
+    computes for a 1-D signal: `np.convolve(num / den[0], x)` cut to `x.size`
+    samples, per row of a stack, which raises `ValueError` on an empty trace
+    as scipy does.  The kernel's sums can differ from the convolution's in
+    the last bit, so the two paths stay apart.
     """
     if den.size == 1:
-        return np.convolve(num / den[0], x)[:x.size]
+        taps = num / den[0]
+        if x.ndim == 1:
+            return np.convolve(taps, x)[:x.size]
+        return np.array([np.convolve(taps, row)[:x.shape[1]] for row in x])
     return _linear_filter()(num, den, x, -1)
 
 
@@ -149,21 +153,24 @@ def fit_arx(u, y, config: ArxConfig | None = None) -> ArxModel:
     na, nb, nk = config.na, config.nb, config.nk
     n_params = na + nb
     k0 = _row_start(na, nb, nk)
-    blocks: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    for uu, yy in traces:
-        n = uu.size
-        if n <= k0:  # no full regressor row (and a slice would wrap around)
-            continue
-        cols = [yy[k0 - lag:n - lag] for lag in range(1, na + 1)]
-        cols += [uu[k0 - nk - lag:n - nk - lag] for lag in range(nb)]
-        blocks.append(np.column_stack(cols))
-        targets.append(yy[k0:n])
-    n_rows = sum(block.shape[0] for block in blocks)
+    # a trace without a full regressor row gives none (a slice would wrap around)
+    traces = [(uu, yy) for uu, yy in traces if uu.size > k0]
+    counts = np.array([uu.size - k0 for uu, _ in traces], dtype=np.intp)
+    n_rows = int(counts.sum())
     if n_rows < n_params:
         raise ValueError(f"{n_rows} regression rows for {n_params} coefficients")
-    phi = np.vstack(blocks)
-    tgt = np.concatenate(targets)
+    # rows stay trace-major: row r, from trace i, is sample r + k0 * (i + 1)
+    # of the concatenated traces (each trace skips its first k0 samples), and
+    # each column is one gather at its lag
+    us_all = np.concatenate([uu for uu, _ in traces])
+    ys_all = np.concatenate([yy for _, yy in traces])
+    rows = np.arange(n_rows) + np.repeat(k0 * np.arange(1, counts.size + 1), counts)
+    phi = np.empty((n_rows, n_params))
+    for lag in range(1, na + 1):
+        phi[:, lag - 1] = ys_all[rows - lag]
+    for lag in range(nb):
+        phi[:, na + lag] = us_all[rows - nk - lag]
+    tgt = ys_all[rows]
     theta, _, rank, _ = np.linalg.lstsq(phi, tgt, rcond=None)
     resid = tgt - phi @ theta
     scale = max(1.0, float(np.linalg.norm(phi.T @ tgt)))

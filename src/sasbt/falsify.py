@@ -13,13 +13,15 @@ one, so nothing fixed is rebuilt per call: each trial compiles the
 requirement (`stl.compile_requirement`), each signal description its
 theta-to-samples expansion (`SignalParam.expand`, which real inputs and
 surrogate inputs share), and each round the fitted model's filter
-coefficients (`ArxModel.siso_filter`).  A surrogate call is then
-one gather (or `np.interp`), one `arx.lfilter`, which calls scipy's
-compiled filter kernel directly (or `np.convolve` for a pure FIR surrogate,
+coefficients (`ArxModel.siso_filter`).  A surrogate call then scores a
+whole stack of thetas (`surrogate_objective`): one gather (or `np.interp`
+per row), one `arx.lfilter` over the stack, which calls scipy's compiled
+filter kernel directly (or `np.convolve` per row for a pure FIR surrogate,
 `arx_na = 0`) without importing `scipy.signal`, and one compiled robustness
-evaluation (`surrogate_objective`).  Each annealing step also clips its
-proposal to the box (`SearchSpace.clip`).  Falsification is single-input,
-single-output.
+evaluation of the stack.  The annealer proposes speculatively, a batch of
+clipped proposals (`SearchSpace.clip`) per call, and keeps the exact random
+stream of a one-proposal-at-a-time walk (`anneal_minimize`).
+Falsification is single-input, single-output.
 
 Also provides the parametric input-signal encoding shared by every system
 under test, two built-in benchmark systems, a pure-random baseline, and the
@@ -73,16 +75,19 @@ class SignalParam:
 
     @cached_property
     def expand(self) -> Callable[[np.ndarray], np.ndarray]:
-        """theta -> the sampled (n_samples,) signal, with the sample grid
-        built once per (valid) param: a constant signal or a single control
-        point gathers each sample's point, a linear one interpolates."""
+        """theta -> the sampled (n_samples,) signal, or a (k, control_points)
+        stack of thetas -> the (k, n_samples) stack of their signals, with the
+        sample grid built once per (valid) param: a constant signal or a
+        single control point gathers each sample's point, a linear one
+        interpolates (row by row in a stack)."""
         times = np.arange(self.n_samples) * self.period
         if self.interpolation == "constant" or self.control_points == 1:
             held = np.minimum((times * self.control_points / self.horizon + 1e-9).astype(int),
                               self.control_points - 1)
-            return lambda theta: theta[held]
+            return lambda theta: theta[..., held]
         nodes = np.linspace(0.0, self.horizon, self.control_points)
-        return lambda theta: np.interp(times, nodes, theta)
+        return lambda theta: (np.interp(times, nodes, theta) if theta.ndim == 1 else
+                              np.array([np.interp(times, nodes, row) for row in theta]))
 
     def theta_space(self) -> SearchSpace:
         """Box over the control-point vector."""
@@ -139,34 +144,85 @@ def benchmark_sut(name: str, u) -> np.ndarray:
 ANNEAL_T0 = 1.0  # initial temperature
 ANNEAL_COOLING = 0.95  # temperature factor per proposal
 ANNEAL_STEP = 0.1  # proposal standard deviation, as a fraction of the box extent
+# proposals scored per objective call: the first batch, then doubled after a
+# batch the walk finished and halved after one an improvement cut short
+ANNEAL_BATCH_START = 16
+ANNEAL_BATCH_MIN = 2
+ANNEAL_BATCH_MAX = 64
 
 
-def anneal_minimize(fun: Callable[[np.ndarray], float], space: SearchSpace,
+def anneal_minimize(fun: Callable[[np.ndarray], np.ndarray], space: SearchSpace,
                     budget: int, rng: np.random.Generator, *,
                     init: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, float, int]:
     """Simulated annealing: geometric cooling, Gaussian proposals scaled to
-    the box extent, clamped to bounds.  Returns (best x, best f, evals)."""
+    the box extent, clamped to bounds.  `fun` scores a (k, dim) stack of
+    points row by row, returning (k,) values.  Returns (best x, best f,
+    evals); evals counts the start point and the proposals walked.
+
+    The walk is the one-proposal-at-a-time loop: each step draws a normal,
+    then a uniform only when the proposal is not better (`not delta < 0`),
+    and accepts it when better or when that uniform is below
+    exp(-delta / temp).  Proposals are scored speculatively in batches:
+    a batch draws the next steps' (normal, uniform) pairs as that loop would
+    if every proposal were worse, and scores them in one call.  A worse
+    proposal's uniform is then the true one; if it is accepted and moves x,
+    the batch's later proposals are rebuilt from the new x with the same
+    normals and scored again.  A better proposal drew no uniform, so it ends
+    the batch: the generator is rewound to the batch start and replays the
+    draws the loop made.  The result and the generator's final state equal
+    the sequential loop's; discarded proposals are scored but not counted.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     x = space.clip(np.asarray(init, dtype=float)) if init is not None \
         else rng.uniform(space.lower, space.upper)
-    fx = fun(x)
+    fx = fun(x[None]).tolist()[0]
     evals = 1
     best_x, best_f = x, fx
     temp = ANNEAL_T0
     sigma = ANNEAL_STEP * (space.upper - space.lower)
     dim = space.dim
+    bit_generator = rng.bit_generator
+    size = ANNEAL_BATCH_START
     while evals < budget:
-        cand = space.clip(x + rng.normal(0.0, 1.0, dim) * sigma)
-        fc = fun(cand)
-        evals += 1
-        delta = fc - fx
-        if delta < 0.0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
-            x, fx = cand, fc
-        if fc < best_f:
-            best_x, best_f = cand, fc
-        temp *= ANNEAL_COOLING
+        n = min(size, budget - evals)
+        start = bit_generator.state
+        normals, uniforms = [], []
+        for _ in range(n):
+            normals.append(rng.normal(0.0, 1.0, dim))
+            uniforms.append(rng.random())
+        steps = np.array(normals) * sigma
+        cands = space.clip(x + steps)
+        values = fun(cands).tolist()
+        first = 0  # the step that cands[0] and values[0] belong to
+        for i in range(n):
+            cand, fc = cands[i - first], values[i - first]
+            evals += 1
+            delta = fc - fx
+            if delta < 0.0:
+                x, fx = cand, fc
+                if fc < best_f:
+                    best_x, best_f = cand, fc
+                temp *= ANNEAL_COOLING
+                bit_generator.state = start
+                for _ in range(i):
+                    rng.normal(0.0, 1.0, dim)
+                    rng.random()
+                rng.normal(0.0, 1.0, dim)
+                size = max(size // 2, ANNEAL_BATCH_MIN)
+                break
+            if uniforms[i] < math.exp(-delta / max(temp, 1e-12)):
+                if cand.tobytes() != x.tobytes() and i + 1 < n:
+                    first = i + 1
+                    cands = space.clip(cand + steps[first:])
+                    values = fun(cands).tolist()
+                x, fx = cand, fc
+            if fc < best_f:
+                best_x, best_f = cand, fc
+            temp *= ANNEAL_COOLING
+        else:
+            size = min(size * 2, ANNEAL_BATCH_MAX)
     return best_x, best_f, evals
 
 
@@ -206,16 +262,16 @@ def _compile_trial(requirement: Formula, signal: SignalParam,
     return compile_requirement(requirement, signal.period, signal.n_samples)
 
 
-def surrogate_objective(model: ArxModel, rho: Callable[[np.ndarray], float],
-                        signal: SignalParam) -> Callable[[np.ndarray], float]:
-    """theta -> robustness of the surrogate's free-run response to the
-    input theta encodes.  Bit-identical to `robustness(requirement,
-    simulate_arx(model, build_signal(signal, theta)), signal.period)` for
-    `rho = compile_requirement(requirement, signal.period,
-    signal.n_samples)`: theta is expanded by `SignalParam.expand`, as
-    `build_signal` expands it, and the response is filtered by
-    `arx.lfilter`, the same helper `simulate_arx` uses, with the filter
-    built once per model."""
+def surrogate_objective(model: ArxModel, rho: Callable[[np.ndarray], np.ndarray],
+                        signal: SignalParam) -> Callable[[np.ndarray], np.ndarray]:
+    """(k, dim) thetas -> the (k,) robustness of the surrogate's free-run
+    responses to the inputs they encode (one theta -> one float).  Each
+    value is bit-identical to `robustness(requirement, simulate_arx(model,
+    build_signal(signal, theta)), signal.period)` for `rho =
+    compile_requirement(requirement, signal.period, signal.n_samples)`:
+    thetas are expanded by `SignalParam.expand`, as `build_signal` expands
+    them, and the responses are filtered by `arx.lfilter`, the same helper
+    `simulate_arx` uses, with the filter built once per model."""
     num, den = model.siso_filter()
     expand = signal.expand
     return lambda theta: rho(lfilter(num, den, expand(theta)))
@@ -251,8 +307,11 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
     negative real robustness.  Round 0 runs the `n_initial` Latin-Hypercube
     input signals drawn up front; every later round refits the ARX surrogate
     on all real data, minimizes surrogate robustness by simulated annealing
-    (`anneal_minimize`) with `surrogate_budget` surrogate simulations, and
-    confirms the single best candidate on the real system.
+    (`anneal_minimize`) over `surrogate_budget` annealing steps, the start
+    point included, and confirms the single best candidate on the real
+    system.  Speculative proposals that the walk discards are scored on the
+    surrogate too, so a round makes somewhat more surrogate simulations
+    than `surrogate_budget`.
 
     The requirement and the sample grid are compiled once per trial, before
     any simulation, and the surrogate's filter once per round (see

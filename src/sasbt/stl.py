@@ -5,8 +5,9 @@ connectives and bounded temporal operators.  Robustness follows the usual
 min/max quantitative semantics evaluated directly on trace samples (no
 interpolation): positive means satisfied with margin, negative violated.
 There is one evaluator: `compile_requirement` checks a formula against a
-trace shape once and returns trace -> robustness at time zero, and
-`robustness` compiles and calls it.
+trace shape once and returns trace -> robustness at time zero (for a
+one-signal requirement, also a stack of traces -> one robustness per trace),
+and `robustness` compiles and calls it.
 
 A compact text form is supported for config files:
 
@@ -94,15 +95,20 @@ def horizon_samples(formula: Formula, period: float) -> int:
 
 def _signal(formula: Formula, period: float, n_signals: int,
             m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile one node: trace -> its robustness at samples 0..m-1."""
+    """Compile one node: trace -> its robustness at samples 0..m-1, along
+    the last axis (one row per trace of a one-signal stack)."""
     if isinstance(formula, Atom):
         sig, bound = formula.signal, formula.bound
         if not 0 <= sig < n_signals:
             raise ValueError(f"signal index {sig} outside trace "
                              f"with {n_signals} signals")
+        if n_signals == 1:  # an (n,) trace or a (k, n) stack: time is the last axis
+            if formula.op == "le":
+                return lambda tr: bound - tr[..., :m]
+            return lambda tr: tr[..., :m] - bound
         if formula.op == "le":
-            return lambda tr: bound - (tr if tr.ndim == 1 else tr[:, sig])[:m]
-        return lambda tr: (tr if tr.ndim == 1 else tr[:, sig])[:m] - bound
+            return lambda tr: bound - tr[:m, sig]
+        return lambda tr: tr[:m, sig] - bound
     if isinstance(formula, Not):
         child = _signal(formula.child, period, n_signals, m)
         return lambda tr: -child(tr)
@@ -115,10 +121,10 @@ def _signal(formula: Formula, period: float, n_signals: int,
         inner = _signal(formula.child, period, n_signals, m + ib)
         ufunc = np.minimum if isinstance(formula, Always) else np.maximum
         if m == 1:  # one window: reduce its slice, bit-identical to the view
-            return lambda tr: ufunc.reduce(inner(tr)[ia:], keepdims=True)
+            return lambda tr: ufunc.reduce(inner(tr)[..., ia:], axis=-1, keepdims=True)
         width = ib - ia + 1
         return lambda tr: ufunc.reduce(np.lib.stride_tricks.sliding_window_view(
-            inner(tr)[ia:], width), axis=1)
+            inner(tr)[..., ia:], width, axis=-1), axis=-1)
     raise TypeError(f"not a formula node: {formula!r}")
 
 
@@ -133,9 +139,12 @@ def compile_requirement(formula: Formula, period: float, n_samples: int,
     min and max reduce in the same order as a full evaluation, so results
     are bit-identical to it, signed zeros and NaN included.
 
-    The returned callable checks nothing about its argument: pass a float
-    array of `n_samples` rows, (n_samples,) when `n_signals` is 1, else
-    (n_samples, n_signals).
+    The returned callable checks nothing about its argument.  With
+    `n_signals` 1 it takes an (n_samples,) trace and returns a float, or a
+    (k, n_samples) stack of k traces and returns their (k,) robustness, each
+    row bit-identical to scoring that trace alone (a NaN's sign aside, which
+    numpy's min and max loops do not all keep).  Otherwise it takes one
+    (n_samples, n_signals) trace and returns a float.
 
     Raises:
         ValueError: non-positive period, invalid or empty windows, a
@@ -147,6 +156,8 @@ def compile_requirement(formula: Formula, period: float, n_samples: int,
     if n_samples <= horizon_samples(formula, period):
         raise ValueError("trace shorter than the formula horizon")
     top = _signal(formula, period, n_signals, 1)
+    if n_signals == 1:
+        return lambda trace: float(top(trace)[0]) if trace.ndim == 1 else top(trace)[:, 0]
     return lambda trace: float(top(trace)[0])
 
 
@@ -172,7 +183,9 @@ def robustness(formula: Formula, trace: np.ndarray, period: float) -> float:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("trace must be a non-empty 1-D or 2-D array")
-    return compile_requirement(formula, period, arr.shape[0], arr.shape[1])(arr)
+    n_signals = arr.shape[1]
+    return compile_requirement(formula, period, arr.shape[0], n_signals)(
+        arr[:, 0] if n_signals == 1 else arr)
 
 
 # ---------- text form ----------

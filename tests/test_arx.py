@@ -239,6 +239,24 @@ def test_lfilter_matches_public_scipy_bit_for_bit(data) -> None:
     assert expected[0] == "ok" or (n_den == 1 and n == 0)  # scipy's FIR path rejects empty x
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_lfilter_filters_a_stack_as_its_rows_bit_for_bit(data) -> None:
+    # den of length 1 convolves each row; longer ones run the kernel once
+    n_den = data.draw(st.integers(1, 4))
+    lead = data.draw(st.one_of(st.floats(0.25, 2.0), st.floats(-2.0, -0.25)))
+    den = np.array([lead] + data.draw(st.lists(COEFFICIENTS, min_size=n_den - 1,
+                                               max_size=n_den - 1)))
+    num = np.array([0.0] * data.draw(st.integers(0, 3))
+                   + data.draw(st.lists(COEFFICIENTS, min_size=1, max_size=6)))
+    k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 60))
+    stack = np.array(data.draw(st.lists(SAMPLES, min_size=k * n, max_size=k * n)),
+                     dtype=float).reshape(k, n)
+    got = lfilter(num, den, stack)
+    assert got.shape == (k, n)
+    assert got.tobytes() == b"".join(lfilter(num, den, row.copy()).tobytes() for row in stack)
+
+
 def test_lfilter_names_the_searched_directory_when_the_kernel_is_missing(monkeypatch) -> None:
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                         classmethod(lambda cls, name, path=None, target=None: None))

@@ -1,6 +1,7 @@
 """Tests for signal encoding, benchmark systems, optimizers and the
 surrogate-guided falsification loop."""
 
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 
 from sasbt.arx import ArxConfig, fit_arx, simulate_arx
 from sasbt.falsify import (
+    ANNEAL_COOLING,
+    ANNEAL_STEP,
+    ANNEAL_T0,
     FalsificationStats,
     FalsifyResult,
     SignalParam,
@@ -28,6 +32,8 @@ from sasbt.falsify import (
 from sasbt.search import SearchSpace
 from sasbt.stl import compile_requirement, parse_requirement, robustness
 
+# the module; the package attribute `sasbt.falsify` is the function
+FALSIFY_MODULE = importlib.import_module("sasbt.falsify")
 SHORT = SignalParam(control_points=3, lower=0.0, upper=2.0, horizon=10.0, period=1.0)
 
 
@@ -145,25 +151,125 @@ def test_benchmark_rejects_unknown_and_bad_input() -> None:
 # ---------- optimizers ----------
 
 
-def quadratic(x: np.ndarray) -> float:
-    return float(np.sum((x - 0.3) ** 2))
+def quadratic(x: np.ndarray) -> float | np.ndarray:
+    """One point -> its value; a (k, dim) stack -> the (k,) values."""
+    return np.sum((x - 0.3) ** 2, axis=-1)
+
+
+def sequential_anneal(fun, space: SearchSpace, budget: int, rng: np.random.Generator,
+                      init: np.ndarray | None = None) -> tuple[np.ndarray, float, int]:
+    """The reference annealer: the loop that scored one proposal per call."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    x = space.clip(np.asarray(init, dtype=float)) if init is not None \
+        else rng.uniform(space.lower, space.upper)
+    fx = fun(x[None])[0]
+    evals = 1
+    best_x, best_f = x, fx
+    temp = ANNEAL_T0
+    sigma = ANNEAL_STEP * (space.upper - space.lower)
+    dim = space.dim
+    while evals < budget:
+        cand = space.clip(x + rng.normal(0.0, 1.0, dim) * sigma)
+        fc = fun(cand[None])[0]
+        evals += 1
+        delta = fc - fx
+        if delta < 0.0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
+            x, fx = cand, fc
+        if fc < best_f:
+            best_x, best_f = cand, fc
+        temp *= ANNEAL_COOLING
+    return best_x, best_f, evals
+
+
+def same_anneal(got, rng, expected, ref_rng) -> bool:
+    """Equal best x bytes, best f bits, evals and generator state."""
+    return (got[0].tobytes() == expected[0].tobytes()
+            and np.float64(got[1]).tobytes() == np.float64(expected[1]).tobytes()
+            and got[2] == expected[2]
+            and rng.bit_generator.state == ref_rng.bit_generator.state)
 
 
 def test_optimizers_spend_exactly_the_budget_and_stay_in_bounds() -> None:
     space = SearchSpace([-1.0, -1.0], [1.0, 1.0])
-    for opt in (anneal_minimize, random_minimize):
-        calls = []
+    calls = []
 
-        def counted(x: np.ndarray) -> float:
-            calls.append(x.copy())
-            return quadratic(x)
+    def counted(x: np.ndarray) -> float:
+        calls.append(x.copy())
+        return quadratic(x)
 
-        _, best_f, evals = opt(counted, space, 40, np.random.default_rng(2))
-        assert evals == 40
-        assert len(calls) == 40
-        for x in calls:
-            assert np.all(x >= space.lower - 1e-12) and np.all(x <= space.upper + 1e-12)
-        assert best_f == min(quadratic(x) for x in calls)
+    _, best_f, evals = random_minimize(counted, space, 40, np.random.default_rng(2))
+    assert evals == 40
+    assert len(calls) == 40
+    for x in calls:
+        assert np.all(x >= space.lower - 1e-12) and np.all(x <= space.upper + 1e-12)
+    assert best_f == min(quadratic(x) for x in calls)
+
+    # the annealer also scores speculative proposals that its walk discards,
+    # so it scores more rows than its budget; the walk is the reference's
+    scored, walked = [], []
+
+    def stacked(xs: np.ndarray) -> np.ndarray:
+        scored.extend(xs.copy())
+        return quadratic(xs)
+
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    got = anneal_minimize(stacked, space, 40, rng)
+    expected = sequential_anneal(lambda xs: walked.extend(xs.copy()) or quadratic(xs),
+                                 space, 40, ref_rng)
+    assert got[2] == 40 and len(walked) == 40
+    for x in scored:
+        assert np.all(x >= space.lower - 1e-12) and np.all(x <= space.upper + 1e-12)
+    assert {x.tobytes() for x in walked} <= {x.tobytes() for x in scored}
+    assert same_anneal(got, rng, expected, ref_rng)
+    assert got[1] == min(quadratic(x) for x in walked)
+
+
+def objective(kind: str, dim: int, center: np.ndarray):
+    """A fresh stack objective of the named kind over the box [0, 1]^dim."""
+    if kind == "quadratic":
+        return lambda xs: np.sum((xs - center) ** 2, axis=-1)
+    if kind == "plateau":  # exact ties wherever floor(3x) agrees
+        return lambda xs: np.floor(3.0 * xs).sum(axis=-1)
+    if kind == "corner":  # minimum at the upper corner, where clipping ties
+        return lambda xs: -np.sum(xs, axis=-1)
+    if kind == "nan":  # NaN of both signs on part of the box
+        def partly_nan(xs):
+            q = np.sum((xs - center) ** 2, axis=-1)
+            return np.where(xs[:, 0] > 0.7, np.nan, np.where(xs[:, 0] < 0.2, -np.nan, q))
+        return partly_nan
+    if kind == "all-nan":
+        return lambda xs: np.full(len(xs), np.nan)
+    if kind == "constant":  # never improves: every proposal ties and is accepted
+        return lambda xs: np.zeros(len(xs))
+    calls = []  # "improving": each call scores lower than the one before
+
+    def improving(xs):
+        calls.append(None)
+        return np.full(len(xs), -float(len(calls)))
+    return improving
+
+
+KINDS = ["quadratic", "plateau", "corner", "nan", "all-nan", "constant", "improving"]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 6), budget=st.one_of(st.integers(1, 40), st.integers(41, 400)),
+       kind=st.sampled_from(KINDS), batch=st.sampled_from([None, 1, 2, 7, 64]),
+       seed=st.integers(0, 2 ** 32 - 1), warm=st.sampled_from([None, "inside", "outside"]))
+def test_speculative_annealer_walks_as_the_sequential_loop(dim, budget, kind, batch, seed,
+                                                           warm) -> None:
+    space = SearchSpace(np.zeros(dim), np.ones(dim))
+    center = np.random.default_rng(seed).uniform(-0.2, 1.2, dim)
+    init = None if warm is None else center if warm == "outside" else space.clip(center)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:  # a fixed batch size; None keeps the adaptive one
+            for name in ("ANNEAL_BATCH_START", "ANNEAL_BATCH_MIN", "ANNEAL_BATCH_MAX"):
+                mp.setattr(FALSIFY_MODULE, name, batch)
+        got = anneal_minimize(objective(kind, dim, center), space, budget, rng, init=init)
+    expected = sequential_anneal(objective(kind, dim, center), space, budget, ref_rng, init)
+    assert same_anneal(got, rng, expected, ref_rng)
 
 
 def test_annealing_improves_on_random_start_and_accepts_warm_start() -> None:
@@ -239,6 +345,13 @@ def test_surrogate_objective_matches_the_public_layers_bit_for_bit(
         assert simulate_arx(model, u).tobytes() == y.tobytes()
         expected = robustness(req, y, signal.period)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    # the stack objective: one call scores every theta, each row as alone
+    singles = [np.float64(objective(theta)).tobytes() for theta in thetas]
+    responses = [traces.pop().tobytes() for _ in thetas][::-1]
+    got = objective(np.array(thetas))
+    assert got.shape == (len(thetas),)
+    assert [value.tobytes() for value in got] == singles
+    assert [row.tobytes() for row in traces.pop()] == responses
 
 
 # ---------- the falsification loop ----------

@@ -136,9 +136,18 @@ def outcome(fn, *args):
     return ("nan",) if math.isnan(value) else ("value", np.float64(value).tobytes())
 
 
+def ieee_bytes(values) -> bytes:
+    """Bytes of a float array with every NaN as one value: numpy's min and
+    max keep a NaN's sign on some loops and not on others."""
+    a = np.asarray(values, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
 def compiled(formula: Formula, trace: np.ndarray, period: float) -> float:
+    # a one-signal evaluator takes its trace 1-D: a 2-D argument is a stack
     n_signals = 1 if trace.ndim == 1 else trace.shape[1]
-    return compile_requirement(formula, period, len(trace), n_signals)(trace)
+    return compile_requirement(formula, period, len(trace), n_signals)(
+        trace.reshape(len(trace)) if n_signals == 1 else trace)
 
 
 def rewindow(f: Formula, lo: float, hi: float) -> Formula:
@@ -192,6 +201,26 @@ def test_compiled_requirement_matches_reference_bit_for_bit(data) -> None:
     expected = outcome(reference_robustness, g, trace, period)
     assert outcome(robustness, g, trace, period) == expected
     assert outcome(compiled, g, trace, period) == expected
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_compiled_requirement_scores_a_stack_as_its_rows_bit_for_bit(data) -> None:
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    f = random_formula(rng, 1, data.draw(st.integers(0, 4)))
+    for _ in range(data.draw(st.integers(0, 2))):  # nest the tree in more windows
+        ia = data.draw(st.integers(0, 3))
+        cls = data.draw(st.sampled_from([Always, Eventually]))
+        f = cls(ia * PERIOD, (ia + data.draw(st.integers(0, 3))) * PERIOD, f)
+    n = horizon_samples(f, PERIOD) + data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 6))
+    pool = sorted(bounds(f)) * 4 + SPECIAL_VALUES + [-np.nan]  # NaN of both signs
+    stack = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=k * n,
+                                        max_size=k * n))).reshape(k, n)
+    rho = compile_requirement(f, PERIOD, n)
+    got = rho(stack)
+    assert got.shape == (k,)
+    assert ieee_bytes(got) == ieee_bytes([rho(row.copy()) for row in stack])
 
 
 def test_compiled_requirement_breaks_signed_zero_ties_as_reference() -> None:
