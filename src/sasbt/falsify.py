@@ -200,11 +200,17 @@ def anneal_minimize(fun: Callable[[np.ndarray], np.ndarray], space: SearchSpace,
             cand, fc = cands[i - first], values[i - first]
             evals += 1
             delta = fc - fx
-            if delta < 0.0:
+            better = delta < 0.0
+            if better or uniforms[i] < math.exp(-delta / max(temp, 1e-12)):
+                if not better and i + 1 < n and cand.tobytes() != x.tobytes():
+                    first = i + 1  # x moves: re-propose the rest from it
+                    cands = space.clip(cand + steps[first:])
+                    values = fun(cands).tolist()
                 x, fx = cand, fc
-                if fc < best_f:
-                    best_x, best_f = cand, fc
-                temp *= ANNEAL_COOLING
+            if fc < best_f:
+                best_x, best_f = cand, fc
+            temp *= ANNEAL_COOLING
+            if better:  # no uniform was drawn here: rewind, replay the draws
                 bit_generator.state = start
                 for _ in range(i):
                     rng.normal(0.0, 1.0, dim)
@@ -212,15 +218,6 @@ def anneal_minimize(fun: Callable[[np.ndarray], np.ndarray], space: SearchSpace,
                 rng.normal(0.0, 1.0, dim)
                 size = max(size // 2, ANNEAL_BATCH_MIN)
                 break
-            if uniforms[i] < math.exp(-delta / max(temp, 1e-12)):
-                if cand.tobytes() != x.tobytes() and i + 1 < n:
-                    first = i + 1
-                    cands = space.clip(cand + steps[first:])
-                    values = fun(cands).tolist()
-                x, fx = cand, fc
-            if fc < best_f:
-                best_x, best_f = cand, fc
-            temp *= ANNEAL_COOLING
         else:
             size = min(size * 2, ANNEAL_BATCH_MAX)
     return best_x, best_f, evals
