@@ -29,10 +29,12 @@ class ArxConfig:
     nk: int = 2  # input delay
 
     def validate(self) -> None:
-        if min(self.na, self.nb, self.nk) < 0:
-            raise ValueError(f"orders must be >= 0, got na={self.na}, nb={self.nb}, nk={self.nk}")
+        for name in ("na", "nb", "nk"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"falsify.arx_{name} must be >= 0, got {getattr(self, name)}")
         if self.na + self.nb == 0:
-            raise ValueError("no regressors (na and nb both zero)")
+            raise ValueError("falsify.arx_na and falsify.arx_nb are both 0: "
+                             "the surrogate would have no coefficients")
 
 
 def _as_traces(u, y) -> list[tuple[np.ndarray, np.ndarray]]:

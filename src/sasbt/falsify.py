@@ -6,7 +6,8 @@ surrogate by simulated annealing, then confirms the single best candidate
 on the real system.  Only real simulations count against the falsification
 budget; a trial succeeds the moment a real run has negative robustness.
 Every round, initial sample or surrogate candidate, ends in the same real
-step, and every input, the ARX orders included, is checked before the first.
+step.  `check_trial` and `check_surrogate`, which the config layer calls
+too, check every input, the ARX orders included, before the first.
 
 The surrogate pays off only if a surrogate call is far cheaper than a real
 one, so nothing fixed is rebuilt per call: each trial compiles the
@@ -64,7 +65,7 @@ class SignalParam:
         if self.period <= 0 or self.horizon <= 0:
             raise ValueError("period and horizon must be positive")
         n = self.horizon / self.period
-        if abs(n - round(n)) > 1e-9:
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9:
             raise ValueError("horizon must be a multiple of the sample period")
         if self.lower >= self.upper:
             raise ValueError("amplitude bounds must satisfy lower < upper")
@@ -249,14 +250,36 @@ OPTIMIZERS: dict[str, Callable] = {
 # ---------- the approximation-refinement loop ----------
 
 
-def _compile_trial(requirement: Formula, signal: SignalParam,
-                   real_budget: int) -> Callable[[np.ndarray], float]:
-    """Check a trial's inputs before any simulation; returns the requirement
-    compiled for one output signal of `signal.n_samples` samples."""
+def check_trial(requirement: Formula, signal: SignalParam,
+                real_budget: int) -> Callable[[np.ndarray], float]:
+    """Check a trial's inputs before any simulation, in the words of the
+    config keys; returns the requirement compiled for `signal.n_samples`."""
     signal.validate()
     if real_budget < 1:
-        raise ValueError("real_budget must be >= 1")
-    return compile_requirement(requirement, signal.period, signal.n_samples)
+        raise ValueError("falsify.real_budget must be >= 1")
+    try:
+        return compile_requirement(requirement, signal.period, signal.n_samples)
+    except ValueError as exc:
+        raise ValueError(f"falsify.requirement: {exc} (a signal of {signal.n_samples} "
+                         f"samples at period {signal.period:g})") from exc
+
+
+def check_surrogate(signal: SignalParam, surrogate_budget: int, arx: ArxConfig,
+                    n_initial: int) -> None:
+    """Check the surrogate settings for a `check_trial`-valid `signal`: the
+    first fit, on `n_initial` real traces, needs a row per coefficient."""
+    if surrogate_budget < 1:
+        raise ValueError("falsify.surrogate_budget must be >= 1")
+    if n_initial < 1:
+        raise ValueError("falsify.n_initial must be >= 1")
+    arx.validate()
+    na, nb, nk = arx.na, arx.nb, arx.nk
+    rows = n_initial * siso_rows(arx, signal.n_samples)
+    if rows < na + nb:
+        raise ValueError(
+            f"falsify.arx_na/arx_nb/arx_nk = {na}/{nb}/{nk} leave {rows} "
+            f"regression rows in falsify.n_initial = {n_initial} traces of "
+            f"{signal.n_samples} samples, fewer than the {na + nb} coefficients")
 
 
 def surrogate_objective(model: ArxModel, rho: Callable[[np.ndarray], np.ndarray],
@@ -324,15 +347,9 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
         FalsifyResult; `falsified` is decided only by real robustness < 0
         and `falsifying_input` always re-simulates to a violation.
     """
-    compiled_rho = _compile_trial(requirement, signal, real_budget)
-    if n_initial < 1 or surrogate_budget < 1:
-        raise ValueError("n_initial and surrogate_budget must be >= 1")
+    compiled_rho = check_trial(requirement, signal, real_budget)
     arx = arx or ArxConfig()
-    arx.validate()
-    rows = n_initial * siso_rows(arx, signal.n_samples)
-    if rows < arx.na + arx.nb:
-        raise ValueError(f"n_initial = {n_initial} traces give {rows} regression rows "
-                         f"for {arx.na + arx.nb} ARX coefficients")
+    check_surrogate(signal, surrogate_budget, arx, n_initial)
     rng = np.random.default_rng(seed)
     space = signal.theta_space()
     initial = lhs_sample(space, n_initial, rng)
@@ -368,9 +385,9 @@ def random_baseline(sut: Callable[[np.ndarray], np.ndarray], requirement: Formul
                     signal: SignalParam, *, real_budget: int = 300,
                     seed: int = 0) -> FalsifyResult:
     """Pure random sampling at equal real budget: every real simulation is
-    an independent uniform draw, with no surrogate in the loop.  Its inputs
-    are checked as `falsify` checks them, before any simulation."""
-    _compile_trial(requirement, signal, real_budget)
+    an independent uniform draw, with no surrogate in the loop, so only
+    `check_trial` checks its inputs (before any simulation)."""
+    check_trial(requirement, signal, real_budget)
     rng = np.random.default_rng(seed)
     space = signal.theta_space()
     rounds: list[RoundLog] = []
@@ -413,9 +430,3 @@ def format_stats_row(name: str, stats: FalsificationStats) -> str:
     return ",".join([name, str(stats.fr), _fmt_stat(stats.mean_sims),
                      _fmt_stat(stats.median_sims)])
 
-
-def parse_stats_row(line: str) -> tuple[str, int, float | None, float | None]:
-    # split from the right: requirement names may contain commas (window bounds)
-    name, fr, mean, median = line.strip().rsplit(",", 3)
-    to_val = lambda s: None if s == "-" else float(s)
-    return name, int(fr), to_val(mean), to_val(median)

@@ -28,13 +28,14 @@ import numpy as np
 import scipy  # submodules load on first use, keeping `import sasbt` cheap
 
 from . import indicators, scenario
-from .arx import ArxConfig, siso_rows
+from .arx import ArxConfig
 from .falsify import (BENCHMARK_SYSTEMS, FalsifyResult, RoundLog, SignalParam,
-                      benchmark_sut, falsification_stats, falsify,
-                      format_stats_row, random_baseline)
+                      benchmark_sut, check_surrogate, check_trial,
+                      falsification_stats, falsify, format_stats_row,
+                      random_baseline)
 from .guidance import DtConfig, nsga2_dt, stage_checkpoints
 from .search import EvaluationArchive, SearchConfig, evolve
-from .stl import Formula, compile_requirement, format_requirement, parse_requirement
+from .stl import Formula, format_requirement, parse_requirement
 
 ALPHA = 0.05
 
@@ -169,43 +170,15 @@ class ExperimentConfig:
                 f"unequal budgets: search {self.budget} vs tree-guided {self.dt.budget}")
 
     def _validate_falsify(self) -> None:
+        """What only the experiment knows, then the checks `falsify` runs."""
         if self.requirement is None:
             raise ConfigError("falsify experiments need falsify.requirement")
-        self.signal.validate()
-        try:
-            compile_requirement(self.requirement, self.signal.period,
-                                self.signal.n_samples)
-        except ValueError as exc:
-            raise ConfigError(
-                f"falsify.requirement: {exc} (a signal of {self.signal.n_samples} "
-                f"samples at period {self.signal.period:g})") from exc
-        if self.real_budget < 1 or self.surrogate_budget < 1:
-            raise ConfigError("falsification budgets must be >= 1")
         if self.method not in ("anneal", "random"):
             raise ConfigError(f"unknown falsification method: {self.method!r}")
-        if self.n_initial < 1:
-            raise ConfigError("n_initial must be >= 1")
-        self._validate_arx()
         if self.system not in BENCHMARK_SYSTEMS:
             raise ConfigError(f"unknown benchmark system: {self.system!r}")
-
-    def _validate_arx(self) -> None:
-        """The first surrogate fit, on the `n_initial` real traces, must have
-        a regression row per coefficient; checked here, not after those
-        simulations have run."""
-        na, nb, nk = self.arx.na, self.arx.nb, self.arx.nk
-        for name, value in (("na", na), ("nb", nb), ("nk", nk)):
-            if value < 0:
-                raise ConfigError(f"falsify.arx_{name} must be >= 0, got {value}")
-        if na + nb == 0:
-            raise ConfigError("falsify.arx_na and falsify.arx_nb are both 0: "
-                              "the surrogate would have no coefficients")
-        rows = self.n_initial * siso_rows(self.arx, self.signal.n_samples)
-        if rows < na + nb:
-            raise ConfigError(
-                f"falsify.arx_na/arx_nb/arx_nk = {na}/{nb}/{nk} leave {rows} "
-                f"regression rows in falsify.n_initial = {self.n_initial} traces of "
-                f"{self.signal.n_samples} samples, fewer than the {na + nb} coefficients")
+        check_trial(self.requirement, self.signal, self.real_budget)
+        check_surrogate(self.signal, self.surrogate_budget, self.arx, self.n_initial)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":

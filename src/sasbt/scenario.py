@@ -86,6 +86,10 @@ class SimConfig:
             raise ValueError("sensor_half_angle must lie in (0, pi/2)")
         if self.brake_margin < 0:
             raise ValueError("brake_margin must be >= 0")
+        steps = self.horizon / self.dt
+        n_steps = round(steps) if math.isfinite(steps) else 0
+        if n_steps < 1 or abs(n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            raise ValueError(f"horizon {self.horizon} is not a multiple of dt {self.dt}")
 
     @cached_property
     def _grid(self) -> tuple[int, np.ndarray, float]:
@@ -93,9 +97,7 @@ class SimConfig:
         tangent of the sensor half-angle.  A failed validation is not cached,
         so an invalid config raises on every use."""
         self.validate()
-        n_steps = int(round(self.horizon / self.dt))
-        if n_steps < 1 or abs(n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(f"horizon {self.horizon} is not a multiple of dt {self.dt}")
+        n_steps = round(self.horizon / self.dt)
         t = np.arange(n_steps + 1) * self.dt
         t.flags.writeable = False
         return n_steps, t, math.tan(self.sensor_half_angle)

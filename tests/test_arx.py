@@ -283,7 +283,7 @@ def test_fit_rejects_bad_shapes_and_orders() -> None:
         fit_arx([u], np.zeros(10))
     with pytest.raises(ValueError, match="na"):
         fit_arx(np.zeros(10), np.zeros(10), ArxConfig(na=-1, nb=1, nk=1))
-    with pytest.raises(ValueError, match="no regressors"):
+    with pytest.raises(ValueError, match=r"falsify\.arx_na and falsify\.arx_nb are both 0"):
         fit_arx(np.zeros(10), np.zeros(10), ArxConfig(na=0, nb=0, nk=0))
 
 

@@ -24,7 +24,6 @@ from sasbt.falsify import (
     falsification_stats,
     falsify,
     format_stats_row,
-    parse_stats_row,
     random_baseline,
     random_minimize,
     surrogate_objective,
@@ -460,9 +459,11 @@ def test_falsify_validates_arguments() -> None:
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(surrogate_budget=0), "surrogate_budget"),
-    (dict(arx=ArxConfig(na=-1, nb=2, nk=1)), "orders must be >= 0"),
-    (dict(arx=ArxConfig(na=0, nb=0, nk=1)), "no regressors"),
-    (dict(arx=ArxConfig(na=2, nb=2, nk=60)), "0 regression rows for 4"),
+    (dict(arx=ArxConfig(na=-1, nb=2, nk=1)), r"falsify\.arx_na must be >= 0, got -1"),
+    (dict(arx=ArxConfig(na=0, nb=0, nk=1)), r"falsify\.arx_na and falsify\.arx_nb are both 0"),
+    (dict(arx=ArxConfig(na=2, nb=2, nk=60)),
+     r"leave 0 regression rows in falsify\.n_initial = 2 traces of 11 samples, "
+     r"fewer than the 4 coefficients"),
 ], ids=["surrogate-budget-0", "na-negative", "no-coefficients", "nk-60"])
 def test_unusable_surrogate_settings_fail_before_any_simulation(kwargs,
                                                                 message: str) -> None:
@@ -473,6 +474,17 @@ def test_unusable_surrogate_settings_fail_before_any_simulation(kwargs,
         falsify(lambda u: calls.append(u) or benchmark_sut("tank", u), req, SHORT,
                 real_budget=10, **kwargs)
     assert calls == []
+
+
+def test_random_baseline_runs_a_signal_too_short_for_a_surrogate() -> None:
+    # horizon = period: 2 samples, no regression row under the default orders
+    two = SignalParam(control_points=1, horizon=1.0, period=1.0)
+    req = parse_requirement("y0 <= 1e6")
+    sut = lambda u: benchmark_sut("tank", u)
+    res = random_baseline(sut, req, two, real_budget=3)
+    assert not res.falsified and res.real_simulations == 3
+    with pytest.raises(ValueError, match="leave 0 regression rows"):
+        falsify(sut, req, two, real_budget=3)
 
 
 class CountingSut:
@@ -571,8 +583,6 @@ def test_stats_row_formatting_and_parsing() -> None:
     stats = falsification_stats([_result(True, 3), _result(True, 5)])
     row = format_stats_row("lti2: always[0,30] y0 <= 4.0", stats)
     assert row == "lti2: always[0,30] y0 <= 4.0,2,4,4"
-    name, fr, mean, median = parse_stats_row(row)
-    assert (name, fr, mean, median) == ("lti2: always[0,30] y0 <= 4.0", 2, 4.0, 4.0)
 
 
 def test_stats_row_uses_dashes_when_nothing_falsified() -> None:
@@ -580,5 +590,3 @@ def test_stats_row_uses_dashes_when_nothing_falsified() -> None:
     assert stats.mean_sims is None and stats.median_sims is None
     row = format_stats_row("tank: always[0,50] y0 <= 17", stats)
     assert row.endswith(",0,-,-")
-    _, fr, mean, median = parse_stats_row(row)
-    assert fr == 0 and mean is None and median is None

@@ -7,6 +7,7 @@ experiments with one, two and three workers.
 """
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -16,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sasbt import cli, harness
+from sasbt import cli, harness, scenario
 from sasbt.arx import ArxConfig, fit_arx
+from sasbt.falsify import SignalParam, falsify, random_baseline
 from sasbt.harness import (
     METRICS,
     ConfigError,
@@ -31,7 +35,7 @@ from sasbt.harness import (
     score_archive,
 )
 from sasbt.search import EvaluationArchive
-from sasbt.stl import Always, Atom
+from sasbt.stl import Always, Atom, parse_requirement
 
 COMPARE_TEXT = """
 # small equal-budget comparison
@@ -294,6 +298,81 @@ def test_arx_order_check_accepts_exactly_the_fittable_orders(n_initial: int) -> 
                 except ValueError:
                     fits = False
                 assert accepted == fits, (na, nb, nk)
+
+
+class FirstSimulation(Exception):
+    """Raised by a system under test when a trial first calls it."""
+
+
+def reaches_the_system(trial) -> bool:
+    """Whether `trial(sut)` gets as far as its first simulation, rather than
+    rejecting its inputs with `ValueError`."""
+    def sut(u):
+        raise FirstSimulation
+    try:
+        trial(sut)
+    except FirstSimulation:
+        return True
+    except ValueError:
+        return False
+    raise AssertionError("the trial ended without a simulation")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(real_budget=st.integers(0, 3), surrogate_budget=st.integers(0, 3),
+       n_initial=st.integers(0, 3), na=st.integers(-1, 4), nb=st.integers(-1, 4),
+       nk=st.integers(-1, 4), horizon=st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, math.inf]),
+       period=st.sampled_from([0.5, 1.0, 2.0, math.nan]),
+       control_points=st.sampled_from([0, 1, 2, 3, 4]), window=st.integers(0, 8),
+       method=st.sampled_from(["anneal", "random"]))
+def test_falsify_config_accepts_exactly_what_a_trial_runs(
+        real_budget: int, surrogate_budget: int, n_initial: int, na: int, nb: int,
+        nk: int, horizon: float, period: float, control_points: int, window: int,
+        method: str) -> None:
+    requirement = f"always[0,{window}] y0 <= 1e6"
+    text = ("experiment.kind = falsify\nfalsify.system = tank\n"
+            f"falsify.requirement = {requirement}\nfalsify.method = {method}\n"
+            f"falsify.real_budget = {real_budget}\n"
+            f"falsify.surrogate_budget = {surrogate_budget}\n"
+            f"falsify.n_initial = {n_initial}\nfalsify.arx_na = {na}\n"
+            f"falsify.arx_nb = {nb}\nfalsify.arx_nk = {nk}\n"
+            f"signal.horizon = {horizon}\nsignal.period = {period}\n"
+            f"signal.control_points = {control_points}\n")
+    try:
+        ExperimentConfig.from_text(text)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    req = parse_requirement(requirement)
+    signal = SignalParam(control_points=control_points, horizon=horizon, period=period)
+    runs = reaches_the_system(lambda sut: falsify(
+        sut, req, signal, real_budget=real_budget, surrogate_budget=surrogate_budget,
+        arx=ArxConfig(na, nb, nk), n_initial=n_initial))
+    if method == "random":
+        # the config also rejects surrogate settings a random trial never uses
+        runs = runs and reaches_the_system(
+            lambda sut: random_baseline(sut, req, signal, real_budget=real_budget))
+    assert accepted == runs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dt=st.integers(-1, 300).map(lambda k: k / 100), data=st.data())
+def test_compare_config_accepts_exactly_the_grids_the_simulator_runs(dt: float,
+                                                                     data) -> None:
+    horizon = data.draw(st.one_of(st.integers(-1, 2000).map(lambda k: k / 100),
+                                  st.integers(0, 40).map(lambda n: n * dt)), label="horizon")
+    try:
+        ExperimentConfig.from_text(f"sim.dt = {dt!r}\nsim.horizon = {horizon!r}\n")
+        accepted = True
+    except ConfigError:
+        accepted = False
+    try:
+        scenario.evaluate_input(scenario.ScenarioInput(5.0, 1.0, 2.0),
+                                scenario.SimConfig(dt=dt, horizon=horizon))
+        simulates = True
+    except ValueError:
+        simulates = False
+    assert accepted == simulates, (dt, horizon)
 
 
 def test_config_file_round_trip(tmp_path: Path) -> None:
@@ -659,6 +738,16 @@ def test_cli_config_errors_exit_2(tmp_path: Path, capsys) -> None:
     assert cli.main(["compare", "--config", str(zero_gens),
                      "--out", str(tmp_path / "never")]) == cli.EXIT_CONFIG
     assert not (tmp_path / "never").exists()
+    # a dt that does not divide the horizon fails at load, not mid-run
+    for grid in ("sim.dt = 0.03\n", "sim.horizon = 10.005\n", "sim.horizon = inf\n",
+                 "sim.dt = nan\n"):
+        with pytest.raises(harness.ConfigError, match="is not a multiple of dt"):
+            harness.ExperimentConfig.from_text(grid)
+        bad_grid = tmp_path / "bad_grid.cfg"
+        bad_grid.write_text(grid)
+        assert cli.main(["compare", "--config", str(bad_grid),
+                         "--out", str(tmp_path / "never")]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "never").exists()
     falsify_cfg = tmp_path / "f.cfg"
     falsify_cfg.write_text(FALSIFY_TEXT)
     # kind mismatch between config and subcommand
