@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arx import ArxConfig, ArxModel, fit_arx, lfilter, siso_rows
-from .search import SearchSpace, lhs_sample
+from .search import MAX_SAMPLES, SearchSpace, lhs_sample
 from .stl import Formula, compile_requirement, robustness
 
 # ---------- input signals ----------
@@ -67,6 +67,9 @@ class SignalParam:
         n = self.horizon / self.period
         if not math.isfinite(n) or abs(n - round(n)) > 1e-9:
             raise ValueError("horizon must be a multiple of the sample period")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"horizon {self.horizon} / period {self.period} asks for "
+                             f"more than {MAX_SAMPLES} samples")
         if self.lower >= self.upper:
             raise ValueError("amplitude bounds must satisfy lower < upper")
 

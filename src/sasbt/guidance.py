@@ -243,15 +243,12 @@ def _seed_rows(archive: EvaluationArchive, box: SearchSpace,
                limit: int) -> np.ndarray:
     """Rows of up to `limit` archive members inside the closed box, by
     non-domination rank and then by archive row."""
-    genomes = archive.genome_array()
+    genomes = archive.genomes
     inside = np.flatnonzero(np.all((genomes >= box.lower)
                                    & (genomes <= box.upper), axis=1))
     if inside.size == 0:
         return inside
-    ranks = np.empty(inside.size, dtype=int)
-    for rank, front in enumerate(non_dominated_sort(archive.objective_array()[inside])):
-        ranks[front] = rank
-    return inside[np.argsort(ranks, kind="stable")[:limit]]
+    return inside[np.concatenate(non_dominated_sort(archive.objectives[inside]))[:limit]]
 
 
 def stage_checkpoints(stages: list[StageRecord]) -> list[tuple[str, int]]:
@@ -273,10 +270,10 @@ def self_referenced_snapshots(archive: EvaluationArchive,
     """Indicator rows at every stage checkpoint, scored against a reference
     built from the archive alone (its own objective ranges and final
     non-dominated front)."""
-    objs = archive.objective_array()
+    objs = archive.objectives
     checkpoints = stage_checkpoints(stages)
     rows = indicators.prefix_indicators(
-        objs, archive.genome_array(), archive.critical_array(),
+        objs, archive.genomes, archive.critical,
         [count for _, count in checkpoints], indicators.build_reference([objs]),
         policy)
     return [{"stage": label, "evaluations": count, **row}
@@ -317,7 +314,7 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
     iteration = 0
     while True:
         iteration += 1
-        tree = fit_tree(archive.genome_array(), archive.critical_array(),
+        tree = fit_tree(archive.genomes, archive.critical,
                         config.max_depth, config.min_samples_leaf)
         regions = extract_regions(tree, space, config.region_threshold)
         report = {"iteration": iteration,

@@ -529,9 +529,9 @@ def score_archive(archive_path) -> dict:
     archive = EvaluationArchive.from_csv(archive_path)
     if len(archive) == 0:
         raise ConfigError(f"archive {archive_path} is empty")
-    objs = archive.objective_array()
+    objs = archive.objectives
     [vals] = indicators.prefix_indicators(
-        objs, archive.genome_array(), archive.critical_array(), [len(archive)],
+        objs, archive.genomes, archive.critical, [len(archive)],
         indicators.build_reference([objs]))
     return {"evaluations": len(archive), **vals}
 

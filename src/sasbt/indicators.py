@@ -13,51 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .search import non_dominated_mask
+
 
 # ---------- dominance filtering ----------
-
-
-def non_dominated_mask(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of the maximal non-dominated subset.
-
-    A point is kept unless some other point is <= in every objective and <
-    in at least one.  Exact duplicates never dominate each other, so every
-    copy of a non-dominated point is kept.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D (N, m) array")
-    n, m = pts.shape
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if m == 2:
-        return _non_dominated_mask_2d(pts)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        le = np.all(pts <= pts[i], axis=1)
-        lt = np.any(pts < pts[i], axis=1)
-        if np.any(le & lt):
-            mask[i] = False
-    return mask
-
-
-def _non_dominated_mask_2d(pts: np.ndarray) -> np.ndarray:
-    # Kung-Luccio-Preparata sort and sweep: after sorting by (f1, f2), a point
-    # is dominated iff an earlier f1 group reaches its f2 or its own group's
-    # minimum f2 (the group's first entry) is smaller
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    f1, f2 = pts[order, 0], pts[order, 1]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = f1[1:] != f1[:-1]
-    group = np.cumsum(first) - 1
-    group_min = f2[first]
-    best_before = np.empty_like(group_min)  # min f2 over smaller f1; NaN never wins
-    best_before[0] = np.inf
-    best_before[1:] = np.fmin.accumulate(group_min)[:-1]
-    dominated = (best_before[group] <= f2) | (f2 > group_min[group])
-    mask = np.empty(order.size, dtype=bool)
-    mask[order] = ~dominated
-    return mask
 
 
 def non_dominated_filter(points: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .search import SearchSpace
+from .search import MAX_SAMPLES, SearchSpace
 
 DEFAULT_INPUT_BOUNDS = ((1.0, 12.0), (0.5, 3.0), (0.0, 8.0))
 INPUT_NAMES = ("v0c", "v0p", "t_wait")
@@ -90,6 +90,9 @@ class SimConfig:
         n_steps = round(steps) if math.isfinite(steps) else 0
         if n_steps < 1 or abs(n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"horizon {self.horizon} is not a multiple of dt {self.dt}")
+        if n_steps + 1 > MAX_SAMPLES:
+            raise ValueError(f"horizon {self.horizon} / dt {self.dt} asks for more "
+                             f"than {MAX_SAMPLES} samples")
 
     @cached_property
     def _grid(self) -> tuple[int, np.ndarray, float]:

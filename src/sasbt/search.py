@@ -1,12 +1,14 @@
 """Multi-objective evolutionary search core.
 
 Implements the NSGA-II machinery used by both the plain scenario search and
-the decision-tree-guided variant: Latin Hypercube initialization, fast
+the decision-tree-guided variant: Latin Hypercube initialization,
 non-dominated sorting, crowding distance, binary tournament selection,
 simulated binary crossover (SBX) and polynomial mutation, plus an append-only
-archive of every real evaluation made during a run.  The archive is the only
-record of an evaluation: a population is a list of archive row indices, and
-a genome or objective vector is read from the archive when it is needed.
+archive of every real evaluation made during a run.  `non_dominated_mask` is
+the package's one dominance test, and `non_dominated_sort` peels fronts with
+it.  The archive is the only record of an evaluation: a population is a list
+of archive row indices, and a genome or objective vector is read from the
+archive when it is needed.
 
 All randomness flows through a single :class:`numpy.random.Generator` seeded
 from the config, so identical configs reproduce identical archives bit for
@@ -23,6 +25,8 @@ import numpy as np
 
 Evaluator = Callable[[np.ndarray], tuple[np.ndarray, bool]]
 """Maps a genome to (objective vector, criticality flag). Must be pure."""
+
+MAX_SAMPLES = 10 ** 7  # largest time grid a `SimConfig` or `SignalParam` may ask for
 
 
 # ---------- search space ----------
@@ -125,8 +129,6 @@ class EvaluationArchive:
     objectives = property(lambda self: self._view(1))
     critical = property(lambda self: self._view(2))
     run_ids = property(lambda self: self._view(3))
-    genome_array, objective_array, critical_array = (
-        genomes.fget, objectives.fget, critical.fget)  # the same views, called
 
     def __len__(self) -> int:
         return self._n
@@ -229,6 +231,51 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def non_dominated_mask(points: np.ndarray) -> np.ndarray:
+    """Boolean mask of the maximal non-dominated subset.
+
+    A point is kept unless some other point is <= in every objective and <
+    in at least one.  Exact duplicates never dominate each other, so every
+    copy of a non-dominated point is kept; a NaN compares false, so a point
+    with a NaN objective is never dominated (as in `dominates`).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-D (N, m) array")
+    n, m = pts.shape
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    if m == 2:
+        return _non_dominated_mask_2d(pts)
+    mask = np.ones(n, dtype=bool)
+    for i in range(n):
+        le = np.all(pts <= pts[i], axis=1)
+        lt = np.any(pts < pts[i], axis=1)
+        if np.any(le & lt):
+            mask[i] = False
+    return mask
+
+
+def _non_dominated_mask_2d(pts: np.ndarray) -> np.ndarray:
+    # Kung-Luccio-Preparata sort and sweep: after sorting by (f1, f2), a point
+    # is dominated iff an earlier f1 group reaches its f2 or its own group's
+    # minimum f2 (the group's first entry) is smaller.  NaN never wins: the
+    # first group has no earlier one, and a NaN f1 is never dominated
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    f1, f2 = pts[order, 0], pts[order, 1]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = f1[1:] != f1[:-1]
+    group = np.cumsum(first) - 1
+    group_min = f2[first]
+    best_before = np.empty_like(group_min)  # min f2 over smaller f1
+    best_before[0] = np.nan
+    best_before[1:] = np.fmin.accumulate(group_min)[:-1]
+    dominated = ((best_before[group] <= f2) | (f2 > group_min[group])) & ~np.isnan(f1)
+    mask = np.empty(order.size, dtype=bool)
+    mask[order] = ~dominated
+    return mask
+
+
 def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
     """Partition points into fronts F0, F1, ... by repeated non-domination.
 
@@ -236,29 +283,18 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
         objectives: (N, m) objective matrix, minimization.
 
     Returns:
-        List of index arrays; fronts partition range(N), and no point in a
-        front dominates another point of the same front.
+        List of ascending index arrays; fronts partition range(N), and each
+        front is the non-dominated subset of the points not in an earlier one.
     """
     objs = np.asarray(objectives, dtype=float)
     if objs.ndim != 2:
         raise ValueError("objectives must be a 2-D (N, m) array")
-    n = objs.shape[0]
-    # pairwise dominance matrix: dom[i, j] true iff i dominates j
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dom = le & lt
-    n_dominators = dom.sum(axis=0)
     fronts: list[np.ndarray] = []
-    remaining = np.arange(n)
-    counts = n_dominators.copy()
+    remaining = np.arange(objs.shape[0])
     while remaining.size:
-        mask = counts[remaining] == 0
-        front = remaining[mask]
-        if front.size == 0:  # cannot happen with a strict partial order
-            raise RuntimeError("dominance relation is not acyclic")
-        fronts.append(front)
+        mask = non_dominated_mask(objs[remaining])
+        fronts.append(remaining[mask])
         remaining = remaining[~mask]
-        counts -= dom[front].sum(axis=0)
     return fronts
 
 

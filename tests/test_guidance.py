@@ -281,14 +281,14 @@ def test_nsga2_dt_ends_within_budget(config):
 
 def test_nsga2_dt_focuses_on_critical_box():
     result = nsga2_dt(UNIT2, _box_evaluator, _small_config())
-    crit = result.archive.critical_array()
+    crit = result.archive.critical
     init = 60  # matches _small_config's initial_lhs
     before = crit[:init].mean()
     after = crit[init:].mean()
     assert after > 2 * max(before, 0.02)
     # a tree on the returned archive should find a region containing the box center
     config = _small_config()
-    tree = fit_tree(result.archive.genome_array(), result.archive.critical_array(),
+    tree = fit_tree(result.archive.genomes, result.archive.critical,
                     config.max_depth, config.min_samples_leaf)
     center = np.array([(BOX_LO + BOX_HI) / 2] * 2)
     assert any(r.contains(center)
@@ -297,7 +297,7 @@ def test_nsga2_dt_focuses_on_critical_box():
 
 def test_region_stage_rows_stay_inside_their_boxes():
     result = nsga2_dt(UNIT2, _box_evaluator, _small_config())
-    genomes = result.archive.genome_array()
+    genomes = result.archive.genomes
     run_ids = np.asarray(result.archive.run_ids)
     region_stages = [(i, s) for i, s in enumerate(result.stages) if s.kind == "region"]
     assert region_stages, "expected at least one region run"
@@ -327,12 +327,10 @@ def test_stage_bookkeeping_consistent():
 def test_nsga2_dt_deterministic():
     a = nsga2_dt(UNIT2, _box_evaluator, _small_config(seed=9))
     b = nsga2_dt(UNIT2, _box_evaluator, _small_config(seed=9))
-    np.testing.assert_array_equal(a.archive.genome_array(),
-                                  b.archive.genome_array())
-    np.testing.assert_array_equal(a.archive.objective_array(),
-                                  b.archive.objective_array())
+    np.testing.assert_array_equal(a.archive.genomes, b.archive.genomes)
+    np.testing.assert_array_equal(a.archive.objectives, b.archive.objectives)
     c = nsga2_dt(UNIT2, _box_evaluator, _small_config(seed=10))
-    assert not np.array_equal(a.archive.genome_array(), c.archive.genome_array())
+    assert not np.array_equal(a.archive.genomes, c.archive.genomes)
 
 
 def test_snapshots_cover_all_stage_checkpoints():

@@ -748,6 +748,17 @@ def test_cli_config_errors_exit_2(tmp_path: Path, capsys) -> None:
         assert cli.main(["compare", "--config", str(bad_grid),
                          "--out", str(tmp_path / "never")]) == cli.EXIT_CONFIG
         assert not (tmp_path / "never").exists()
+    # a grid too large to allocate fails at load; nothing is simulated
+    for command, text in (("compare", "sim.dt = 1e-9\n"),
+                          ("falsify", FALSIFY_TEXT.replace("signal.period = 1\n",
+                                                           "signal.period = 1e-9\n"))):
+        with pytest.raises(harness.ConfigError, match="more than 10000000 samples"):
+            harness.ExperimentConfig.from_text(text)
+        huge_grid = tmp_path / "huge_grid.cfg"
+        huge_grid.write_text(text)
+        assert cli.main([command, "--config", str(huge_grid),
+                         "--out", str(tmp_path / "never")]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "never").exists()
     falsify_cfg = tmp_path / "f.cfg"
     falsify_cfg.write_text(FALSIFY_TEXT)
     # kind mismatch between config and subcommand

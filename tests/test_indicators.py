@@ -14,6 +14,8 @@ from sasbt.indicators import (DistinctnessPolicy, Reference, build_reference,
                               hypervolume, non_dominated_filter,
                               non_dominated_mask, normalize, prefix_indicators,
                               spread)
+from sasbt.search import non_dominated_sort
+from test_search import brute_force_fronts
 
 # ---------- oracles ----------
 
@@ -56,6 +58,10 @@ def test_filter_examples():
     out = non_dominated_filter(np.array([[1.0, 1.0], [2.0, 2.0]]))
     np.testing.assert_array_equal(out, [[1.0, 1.0]])
     assert non_dominated_filter(np.empty((0, 2))).shape == (0, 2)
+    # a lone point is kept whatever its values; NaN never dominates
+    np.testing.assert_array_equal(non_dominated_mask([[4.0, np.inf]]), [True])
+    np.testing.assert_array_equal(non_dominated_mask([[0.0, 0.0], [np.nan, 1.0]]),
+                                  [True, True])
 
 
 def test_filter_matches_brute_force():
@@ -66,6 +72,18 @@ def test_filter_matches_brute_force():
         pts = rng.integers(0, 8, size=(n, m)).astype(float)
         np.testing.assert_array_equal(non_dominated_mask(pts), oracle_mask(pts),
                                       err_msg=f"trial {trial}")
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3]))
+def test_mask_and_sort_match_oracles_on_special_values(data, m: int) -> None:
+    rows = data.draw(st.lists(st.lists(SPECIAL, min_size=m, max_size=m), max_size=12))
+    pts = np.array(rows, dtype=float).reshape(len(rows), m)
+    np.testing.assert_array_equal(non_dominated_mask(pts), oracle_mask(pts))
+    assert [sorted(f) for f in non_dominated_sort(pts)] == brute_force_fronts(pts)
 
 
 def test_filter_keeps_duplicates_and_order():

@@ -176,11 +176,9 @@ def test_archive_roundtrip(tmp_path):
     archive.to_csv(path)
     back = EvaluationArchive.from_csv(path)
     assert len(back) == 17
-    np.testing.assert_array_equal(back.genome_array(), archive.genome_array())
-    np.testing.assert_array_equal(back.objective_array(),
-                                  archive.objective_array())
-    np.testing.assert_array_equal(back.critical_array(),
-                                  archive.critical_array())
+    np.testing.assert_array_equal(back.genomes, archive.genomes)
+    np.testing.assert_array_equal(back.objectives, archive.objectives)
+    np.testing.assert_array_equal(back.critical, archive.critical)
     np.testing.assert_array_equal(back.run_ids, archive.run_ids)
 
 
@@ -198,8 +196,8 @@ def test_evolve_archive_length_exact():
     pop, archive = evolve(SPACE2, cfg, _sphere_evaluator)
     assert len(archive) == 8 * (5 + 1)
     assert len(pop) == 8
-    assert archive.genome_array().min() >= 0.0
-    assert archive.genome_array().max() <= 1.0
+    assert archive.genomes.min() >= 0.0
+    assert archive.genomes.max() <= 1.0
 
 
 def test_evolve_with_seeds_skips_reevaluation():
@@ -216,7 +214,7 @@ def test_evolve_evaluates_only_fresh_genomes_and_returns_archive_rows(n_seeds):
     p, g = 8, 3
     _, archive = evolve(SPACE2, SearchConfig(population=p, generations=1, seed=1),
                         _sphere_evaluator)
-    before = archive.genome_array().copy()
+    before = archive.genomes.copy()
     seeds = np.arange(2, 2 + n_seeds)
     calls = []
 
@@ -227,7 +225,7 @@ def test_evolve_evaluates_only_fresh_genomes_and_returns_archive_rows(n_seeds):
     population, out = evolve(SPACE2, SearchConfig(population=p, generations=g, seed=2),
                              counting, seeds=seeds, archive=archive, run_id=9)
     assert out is archive
-    added = archive.genome_array()[len(before):]
+    added = archive.genomes[len(before):]
     assert len(added) == (p - n_seeds) + p * g
     # the evaluator saw each appended genome not already in the archive,
     # once, in order of first appearance, and no seed row
@@ -238,7 +236,7 @@ def test_evolve_evaluates_only_fresh_genomes_and_returns_archive_rows(n_seeds):
             seen.add(genome.tobytes())
             fresh.append(genome)
     np.testing.assert_array_equal(np.reshape(calls, (-1, 2)), np.reshape(fresh, (-1, 2)))
-    np.testing.assert_array_equal(archive.genome_array()[:len(before)], before)
+    np.testing.assert_array_equal(archive.genomes[:len(before)], before)
     assert archive.run_ids[len(before):].tolist() == [9] * len(added)
     # a reused row holds exactly what evaluating its genome gives
     for row in range(len(before), len(archive)):
@@ -357,7 +355,7 @@ def test_archive_pickle_ships_trimmed_columns(rows):
 
 def test_archive_views_are_read_only_snapshots():
     archive = _special_archive(64)  # full: the next append reallocates
-    views = [archive.genome_array(), archive.objective_array(), archive.critical_array(),
+    views = [archive.genomes, archive.objectives, archive.critical,
              archive.run_ids]
     before = [view.copy() for view in views]
     for view in views:
@@ -365,10 +363,10 @@ def test_archive_views_are_read_only_snapshots():
         with pytest.raises(ValueError):
             view[0] = view[1]
     archive.append(np.ones(3), np.ones(2), True, 9)
-    assert len(archive.genome_array()) == 65 and len(views[0]) == 64
+    assert len(archive.genomes) == 65 and len(views[0]) == 64
     for view, old in zip(views, before):
         assert view.tobytes() == old.tobytes()
-    assert archive.genome_array().base is not views[0].base  # grown into new columns
+    assert archive.genomes.base is not views[0].base  # grown into new columns
 
 
 @pytest.mark.parametrize("rows", [0, 1, 17, 130])
@@ -424,11 +422,11 @@ def test_evolve_deterministic():
     cfg = SearchConfig(population=10, generations=4, seed=11)
     _, a = evolve(SPACE2, cfg, _sphere_evaluator)
     _, b = evolve(SPACE2, cfg, _sphere_evaluator)
-    np.testing.assert_array_equal(a.genome_array(), b.genome_array())
-    np.testing.assert_array_equal(a.objective_array(), b.objective_array())
+    np.testing.assert_array_equal(a.genomes, b.genomes)
+    np.testing.assert_array_equal(a.objectives, b.objectives)
     cfg2 = SearchConfig(population=10, generations=4, seed=12)
     _, c = evolve(SPACE2, cfg2, _sphere_evaluator)
-    assert not np.array_equal(a.genome_array(), c.genome_array())
+    assert not np.array_equal(a.genomes, c.genomes)
 
 
 def test_search_space_validation():
