@@ -13,11 +13,11 @@ is the IIR filter `siso_filter` returns.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # only to locate the filter kernel; no scipy submodule is imported
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,10 @@ def _linear_filter():
     """scipy's compiled direct-form filter kernel, `_sigtools._linear_filter`.
 
     The extension is loaded on its own from scipy's `signal` directory, once
-    per process, so a falsify run never imports `scipy.signal` (which would
-    also load `scipy.stats` and `scipy.linalg`).  It is not registered under
-    scipy's dotted name, so a later `import scipy.signal` loads its own copy.
+    per process, so a falsify run imports neither `scipy` nor `scipy.signal`
+    (which would also load `scipy.stats` and `scipy.linalg`).  It is not
+    registered under scipy's dotted name, so a later `import scipy.signal`
+    loads its own copy.
 
     Raises:
         ImportError: the directory holds no `_sigtools` extension.
@@ -89,7 +90,10 @@ def _linear_filter():
     import importlib.machinery
     import importlib.util
 
-    where = os.path.join(os.path.dirname(scipy.__file__), "signal")
+    scipy = importlib.util.find_spec("scipy")  # runs no scipy code
+    if scipy is None:
+        raise ImportError("scipy, which holds the compiled filter kernel, is not installed")
+    where = os.path.join(scipy.submodule_search_locations[0], "signal")
     spec = importlib.machinery.PathFinder.find_spec("_sigtools", [where])
     if spec is None:
         raise ImportError(f"scipy's compiled filter kernel _sigtools not found in {where}")
@@ -99,22 +103,22 @@ def _linear_filter():
 
 
 def lfilter(num: np.ndarray, den: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`scipy.signal.lfilter(num, den, x)`, bit for bit, on a 1-D float
-    array, or row by row on a (k, n) stack, without importing `scipy.signal`.
+    """`scipy.signal.lfilter(num, den, x)`, bit for bit, along the last axis
+    of a float array: one trace (n,), or a stack of them with leading axes,
+    each row filtered as alone, without importing `scipy.signal`.
 
     With feedback (`den.size > 1`) this calls the compiled direct-form kernel
     that the public function wraps in array-API dispatch (`_linear_filter`),
     once for the whole stack.  A pure FIR filter is what scipy's public path
-    computes for a 1-D signal: `np.convolve(num / den[0], x)` cut to `x.size`
-    samples, per row of a stack, which raises `ValueError` on an empty trace
-    as scipy does.  The kernel's sums can differ from the convolution's in
-    the last bit, so the two paths stay apart.
+    computes per trace: `np.convolve(num / den[0], row)` cut to the trace's
+    n samples, which raises `ValueError` on an empty trace as scipy does.
+    The kernel's sums can differ from the convolution's in the last bit, so
+    the two paths stay apart.
     """
     if den.size == 1:
-        taps = num / den[0]
-        if x.ndim == 1:
-            return np.convolve(taps, x)[:x.size]
-        return np.array([np.convolve(taps, row)[:x.shape[1]] for row in x])
+        taps, n = num / den[0], x.shape[-1]
+        rows = x.reshape(math.prod(x.shape[:-1]), n)  # not -1: an empty trace reaches np.convolve
+        return np.array([np.convolve(taps, row)[:n] for row in rows]).reshape(x.shape)
     return _linear_filter()(num, den, x, -1)
 
 

@@ -19,10 +19,11 @@ whole stack of thetas (`surrogate_objective`): one gather (or `np.interp`
 per row), one `arx.lfilter` over the stack, which calls scipy's compiled
 filter kernel directly (or `np.convolve` per row for a pure FIR surrogate,
 `arx_na = 0`) without importing `scipy.signal`, and one compiled robustness
-evaluation of the stack.  The annealer proposes speculatively, a batch of
-clipped proposals (`SearchSpace.clip`) per call, and keeps the exact random
-stream of a one-proposal-at-a-time walk (`anneal_minimize`).
-Falsification is single-input, single-output.
+evaluation of the stack as (k, 1, n) one-signal traces: time stays on the
+last axis, and a stack only adds leading axes.  The annealer proposes
+speculatively, a batch of clipped proposals (`SearchSpace.clip`) per call,
+and keeps the exact random stream of a one-proposal-at-a-time walk
+(`anneal_minimize`).  Falsification is single-input, single-output.
 
 Also provides the parametric input-signal encoding shared by every system
 under test, two built-in benchmark systems, a pure-random baseline, and the
@@ -79,19 +80,18 @@ class SignalParam:
 
     @cached_property
     def expand(self) -> Callable[[np.ndarray], np.ndarray]:
-        """theta -> the sampled (n_samples,) signal, or a (k, control_points)
-        stack of thetas -> the (k, n_samples) stack of their signals, with the
-        sample grid built once per (valid) param: a constant signal or a
-        single control point gathers each sample's point, a linear one
-        interpolates (row by row in a stack)."""
+        """(..., control_points) thetas -> their (..., n_samples) signals, one
+        theta or a stack with leading axes, the sample grid built once per
+        (valid) param: a constant signal or a single control point gathers
+        each sample's point, a linear one interpolates each theta."""
         times = np.arange(self.n_samples) * self.period
         if self.interpolation == "constant" or self.control_points == 1:
             held = np.minimum((times * self.control_points / self.horizon + 1e-9).astype(int),
                               self.control_points - 1)
             return lambda theta: theta[..., held]
         nodes = np.linspace(0.0, self.horizon, self.control_points)
-        return lambda theta: (np.interp(times, nodes, theta) if theta.ndim == 1 else
-                              np.array([np.interp(times, nodes, row) for row in theta]))
+        return lambda theta: np.array([np.interp(times, nodes, row) for row in theta.reshape(
+            -1, nodes.size)]).reshape(theta.shape[:-1] + times.shape)
 
     def theta_space(self) -> SearchSpace:
         """Box over the control-point vector."""
@@ -254,7 +254,7 @@ OPTIMIZERS: dict[str, Callable] = {
 
 
 def check_trial(requirement: Formula, signal: SignalParam,
-                real_budget: int) -> Callable[[np.ndarray], float]:
+                real_budget: int) -> Callable[[np.ndarray], np.ndarray]:
     """Check a trial's inputs before any simulation, in the words of the
     config keys; returns the requirement compiled for `signal.n_samples`."""
     signal.validate()
@@ -288,16 +288,17 @@ def check_surrogate(signal: SignalParam, surrogate_budget: int, arx: ArxConfig,
 def surrogate_objective(model: ArxModel, rho: Callable[[np.ndarray], np.ndarray],
                         signal: SignalParam) -> Callable[[np.ndarray], np.ndarray]:
     """(k, dim) thetas -> the (k,) robustness of the surrogate's free-run
-    responses to the inputs they encode (one theta -> one float).  Each
+    responses to the inputs they encode (one theta -> a 0-d array).  Each
     value is bit-identical to `robustness(requirement, simulate_arx(model,
     build_signal(signal, theta)), signal.period)` for `rho =
     compile_requirement(requirement, signal.period, signal.n_samples)`:
     thetas are expanded by `SignalParam.expand`, as `build_signal` expands
     them, and the responses are filtered by `arx.lfilter`, the same helper
-    `simulate_arx` uses, with the filter built once per model."""
+    `simulate_arx` uses, with the filter built once per model, then scored
+    as (1, n_samples) one-signal traces."""
     num, den = model.siso_filter()
     expand = signal.expand
-    return lambda theta: rho(lfilter(num, den, expand(theta)))
+    return lambda theta: rho(lfilter(num, den, expand(theta))[..., None, :])
 
 
 @dataclass

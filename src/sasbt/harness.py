@@ -25,7 +25,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy  # submodules load on first use, keeping `import sasbt` cheap
 
 from . import indicators, scenario
 from .arx import ArxConfig
@@ -189,9 +188,10 @@ class ExperimentConfig:
         if kind not in ("compare", "falsify"):
             raise ConfigError(f"unknown experiment kind: {kind!r}")
         self = cls(kind=kind)
-        for name in ("budget", "repetitions", "base_seed"):
+        for name in ("repetitions", "base_seed"):
             setattr(self, name, cfg.get("experiment." + name, getattr(self, name)))
         if kind == "compare":
+            self.budget = cfg.get("experiment.budget", self.budget)
             self.sim = cfg.section("sim.", self.sim, input_bounds=tuple(
                 cfg.get("sim.bounds_" + name, bounds)
                 for name, bounds in zip(scenario.INPUT_NAMES, self.sim.input_bounds)))
@@ -249,7 +249,8 @@ def _compare_aggregate(tagged: list[tuple[str, dict]], quarter: int) -> dict:
     med_guided = float(np.median(guided))
     ratio = med_guided / med_plain if med_plain > 0 else None
     if len(plain) >= 2 and (np.ptp(plain + guided) > 0):
-        pvalue = float(scipy.stats.mannwhitneyu(guided, plain, alternative="two-sided").pvalue)
+        from scipy.stats import mannwhitneyu  # at use: keeps `import sasbt` cheap
+        pvalue = float(mannwhitneyu(guided, plain, alternative="two-sided").pvalue)
     else:
         pvalue = None
     return {

@@ -4,10 +4,10 @@ A requirement is a tree of atoms (bounds on one output signal), Boolean
 connectives and bounded temporal operators.  Robustness follows the usual
 min/max quantitative semantics evaluated directly on trace samples (no
 interpolation): positive means satisfied with margin, negative violated.
-There is one evaluator: `compile_requirement` checks a formula against a
-trace shape once and returns trace -> robustness at time zero (for a
-one-signal requirement, also a stack of traces -> one robustness per trace),
-and `robustness` compiles and calls it.
+There is one evaluator and one trace layout: `compile_requirement` checks a
+formula against a trace shape once and returns trace -> robustness at time
+zero, a trace being (n_signals, n_samples) and a stack adding leading axes;
+`robustness` calls it once on the transpose of a time-first trace.
 
 A compact text form is supported for config files:
 
@@ -95,20 +95,16 @@ def horizon_samples(formula: Formula, period: float) -> int:
 
 def _signal(formula: Formula, period: float, n_signals: int,
             m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile one node: trace -> its robustness at samples 0..m-1, along
-    the last axis (one row per trace of a one-signal stack)."""
+    """Compile one node: (..., n_signals, n) traces -> their robustness at
+    samples 0..m-1, with time on the last axis."""
     if isinstance(formula, Atom):
         sig, bound = formula.signal, formula.bound
         if not 0 <= sig < n_signals:
             raise ValueError(f"signal index {sig} outside trace "
                              f"with {n_signals} signals")
-        if n_signals == 1:  # an (n,) trace or a (k, n) stack: time is the last axis
-            if formula.op == "le":
-                return lambda tr: bound - tr[..., :m]
-            return lambda tr: tr[..., :m] - bound
         if formula.op == "le":
-            return lambda tr: bound - tr[:m, sig]
-        return lambda tr: tr[:m, sig] - bound
+            return lambda tr: bound - tr[..., sig, :m]
+        return lambda tr: tr[..., sig, :m] - bound
     if isinstance(formula, Not):
         child = _signal(formula.child, period, n_signals, m)
         return lambda tr: -child(tr)
@@ -129,7 +125,7 @@ def _signal(formula: Formula, period: float, n_signals: int,
 
 
 def compile_requirement(formula: Formula, period: float, n_samples: int,
-                        n_signals: int = 1) -> Callable[[np.ndarray], float]:
+                        n_signals: int = 1) -> Callable[[np.ndarray], np.ndarray]:
     """Robustness at time zero as a function of the trace, checked once.
 
     Every check `robustness` makes of a formula (period, windows, horizon,
@@ -139,12 +135,12 @@ def compile_requirement(formula: Formula, period: float, n_samples: int,
     min and max reduce in the same order as a full evaluation, so results
     are bit-identical to it, signed zeros and NaN included.
 
-    The returned callable checks nothing about its argument.  With
-    `n_signals` 1 it takes an (n_samples,) trace and returns a float, or a
-    (k, n_samples) stack of k traces and returns their (k,) robustness, each
-    row bit-identical to scoring that trace alone (a NaN's sign aside, which
-    numpy's min and max loops do not all keep).  Otherwise it takes one
-    (n_samples, n_signals) trace and returns a float.
+    The returned callable checks nothing about its argument, an
+    (n_signals, n_samples) trace with time on the last axis, or a stack of
+    them with leading axes, e.g. (k, n_signals, n_samples).  It returns the
+    robustness with the trace axes dropped: a 0-d array for one trace, (k,)
+    for that stack, each entry bit-identical to scoring its trace alone (a
+    NaN's sign aside, which numpy's min and max loops do not all keep).
 
     Raises:
         ValueError: non-positive period, invalid or empty windows, a
@@ -156,9 +152,7 @@ def compile_requirement(formula: Formula, period: float, n_samples: int,
     if n_samples <= horizon_samples(formula, period):
         raise ValueError("trace shorter than the formula horizon")
     top = _signal(formula, period, n_signals, 1)
-    if n_signals == 1:
-        return lambda trace: float(top(trace)[0]) if trace.ndim == 1 else top(trace)[:, 0]
-    return lambda trace: float(top(trace)[0])
+    return lambda traces: top(traces)[..., 0]
 
 
 def robustness(formula: Formula, trace: np.ndarray, period: float) -> float:
@@ -183,9 +177,7 @@ def robustness(formula: Formula, trace: np.ndarray, period: float) -> float:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("trace must be a non-empty 1-D or 2-D array")
-    n_signals = arr.shape[1]
-    return compile_requirement(formula, period, arr.shape[0], n_signals)(
-        arr[:, 0] if n_signals == 1 else arr)
+    return float(compile_requirement(formula, period, *arr.shape)(arr.T))
 
 
 # ---------- text form ----------

@@ -121,10 +121,16 @@ def test_unknown_keys_are_rejected() -> None:
                                    "signal.mode = constrained\n")
     with pytest.raises(ConfigError, match="unknown config keys: experiment.sim_cost_s"):
         ExperimentConfig.from_text("experiment.sim_cost_s = 2.5\n")
+    # a falsify trial spends falsify.real_budget; it has no experiment budget
+    with pytest.raises(ConfigError, match="unknown config keys: experiment.budget"):
+        ExperimentConfig.from_text("experiment.kind = falsify\n"
+                                   "falsify.requirement = y0 <= 1\n"
+                                   "experiment.budget = 5\n")
 
 
-EXPERIMENT_KEYS = {"experiment.budget", "experiment.repetitions", "experiment.base_seed"}
+EXPERIMENT_KEYS = {"experiment.repetitions", "experiment.base_seed"}
 COMPARE_KEYS = EXPERIMENT_KEYS | {
+    "experiment.budget",
     *(f"sim.{name}" for name in (
         "dt", "horizon", "ego_length", "ego_width", "spot_x", "comfort_decel",
         "max_decel", "occluder", "ped_start", "sensor_range", "sensor_half_angle",
@@ -153,7 +159,7 @@ FALSIFY_KEYS = EXPERIMENT_KEYS | {
 ], ids=["compare", "falsify"])
 def test_each_kind_reads_exactly_its_keys(monkeypatch, text: str,
                                           expected: set[str]) -> None:
-    assert (len(COMPARE_KEYS), len(FALSIFY_KEYS)) == (35, 18)
+    assert (len(COMPARE_KEYS), len(FALSIFY_KEYS)) == (35, 17)
     read: set[str] = set()
     get = harness._Cfg.get
 

@@ -1,7 +1,7 @@
 """Importing the package stays cheap, and falsification never imports
-`scipy.signal`: scipy's heavy submodules load only where a result needs them
-(the compare rank-sum p-value), and the ARX filter loads scipy's compiled
-kernel on its own."""
+`scipy.signal`: scipy loads only where a result needs it (the compare
+rank-sum p-value), and the ARX filter loads scipy's compiled kernel on its
+own."""
 
 import os
 import subprocess
@@ -27,12 +27,15 @@ def test_import_sasbt_defers_scipy_signal_and_stats():
     assert run_python(code).strip() == "[]"
 
 
-def test_loading_a_config_leaves_multiprocessing_unloaded():
-    # the harness imports it when a run starts worker processes
+def test_loading_both_config_kinds_leaves_multiprocessing_and_scipy_unloaded():
+    # the harness imports multiprocessing when a run starts worker processes
+    # and scipy.stats for a rank-sum p-value; arx locates scipy's filter
+    # kernel without importing scipy
     code = ("import sys, sasbt; from sasbt.harness import ExperimentConfig; "
             "ExperimentConfig.from_file('configs/compare_default.cfg'); "
-            "print('multiprocessing' in sys.modules)")
-    assert run_python(code).strip() == "False"
+            "ExperimentConfig.from_file('configs/falsify_tank.cfg'); "
+            "print(sorted(m for m in ('multiprocessing', 'scipy') if m in sys.modules))")
+    assert run_python(code).strip() == "[]"
 
 
 FALSIFY_WITHOUT_SCIPY_SIGNAL = """

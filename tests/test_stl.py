@@ -7,7 +7,9 @@ atom bounds strictly between trace values, so robustness is never zero and the
 comparison is unambiguous.
 
 The compiled evaluator is also checked bit for bit, errors included, against
-the reference below, which builds every node's full robustness signal.
+the reference below, which builds every node's full robustness signal:
+through `robustness`, which calls it once on the transposed trace, and on
+stacks of (n_signals, n_samples) traces, row by row.
 """
 
 import math
@@ -143,13 +145,6 @@ def ieee_bytes(values) -> bytes:
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
-def compiled(formula: Formula, trace: np.ndarray, period: float) -> float:
-    # a one-signal evaluator takes its trace 1-D: a 2-D argument is a stack
-    n_signals = 1 if trace.ndim == 1 else trace.shape[1]
-    return compile_requirement(formula, period, len(trace), n_signals)(
-        trace.reshape(len(trace)) if n_signals == 1 else trace)
-
-
 def rewindow(f: Formula, lo: float, hi: float) -> Formula:
     """`f` with its first temporal node's window replaced by [lo, hi]."""
     if isinstance(f, (Always, Eventually)):
@@ -200,14 +195,14 @@ def test_compiled_requirement_matches_reference_bit_for_bit(data) -> None:
         trace = trace[:, 0]
     expected = outcome(reference_robustness, g, trace, period)
     assert outcome(robustness, g, trace, period) == expected
-    assert outcome(compiled, g, trace, period) == expected
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.data())
 def test_compiled_requirement_scores_a_stack_as_its_rows_bit_for_bit(data) -> None:
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    f = random_formula(rng, 1, data.draw(st.integers(0, 4)))
+    s = data.draw(st.integers(1, 3))
+    f = random_formula(rng, s, data.draw(st.integers(0, 4)))
     for _ in range(data.draw(st.integers(0, 2))):  # nest the tree in more windows
         ia = data.draw(st.integers(0, 3))
         cls = data.draw(st.sampled_from([Always, Eventually]))
@@ -215,12 +210,12 @@ def test_compiled_requirement_scores_a_stack_as_its_rows_bit_for_bit(data) -> No
     n = horizon_samples(f, PERIOD) + data.draw(st.integers(1, 6))
     k = data.draw(st.integers(1, 6))
     pool = sorted(bounds(f)) * 4 + SPECIAL_VALUES + [-np.nan]  # NaN of both signs
-    stack = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=k * n,
-                                        max_size=k * n))).reshape(k, n)
-    rho = compile_requirement(f, PERIOD, n)
-    got = rho(stack)
+    stack = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=k * s * n,
+                                        max_size=k * s * n))).reshape(k, s, n)
+    got = compile_requirement(f, PERIOD, n, s)(stack)
     assert got.shape == (k,)
-    assert ieee_bytes(got) == ieee_bytes([rho(row.copy()) for row in stack])
+    # each row is an (s, n) trace; robustness takes it time first
+    assert ieee_bytes(got) == ieee_bytes([robustness(f, row.T, PERIOD) for row in stack])
 
 
 def test_compiled_requirement_breaks_signed_zero_ties_as_reference() -> None:
@@ -242,7 +237,7 @@ def test_compiled_requirement_breaks_signed_zero_ties_as_reference() -> None:
             trace = np.column_stack([np.full(60, 0.5), rng.choice([0.5, 1.5], 60)])
             expected = outcome(reference_robustness, f, trace, 1.0)
             assert expected[0] == "value"
-            assert outcome(compiled, f, trace, 1.0) == expected
+            assert outcome(robustness, f, trace, 1.0) == expected
 
 
 def test_compiled_requirement_errors_match_reference() -> None:
@@ -261,7 +256,6 @@ def test_compiled_requirement_errors_match_reference() -> None:
         expected = outcome(reference_robustness, f, trace, period)
         assert expected[0] == "error"
         assert outcome(robustness, f, trace, period) == expected
-        assert outcome(compiled, f, trace, period) == expected
 
 
 def test_sign_agrees_with_boolean_oracle() -> None:
