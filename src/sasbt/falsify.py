@@ -71,8 +71,9 @@ class SignalParam:
         if self.n_samples > MAX_SAMPLES:
             raise ValueError(f"horizon {self.horizon} / period {self.period} asks for "
                              f"more than {MAX_SAMPLES} samples")
-        if self.lower >= self.upper:
-            raise ValueError("amplitude bounds must satisfy lower < upper")
+        if not -math.inf < self.lower < self.upper < math.inf:
+            raise ValueError("amplitude bounds must be finite with lower < upper, "
+                             f"got [{self.lower}, {self.upper}]")
 
     @property
     def n_samples(self) -> int:

@@ -25,7 +25,6 @@ from .search import (EvaluationArchive, Evaluator, SearchConfig, SearchSpace,
 class TreeNode:
     n_total: int
     n_critical: int
-    depth: int
     feature: int | None = None  # None marks a leaf
     threshold: float = 0.0
     left: "TreeNode | None" = None
@@ -40,13 +39,6 @@ class TreeNode:
         return self.n_critical / self.n_total if self.n_total else 0.0
 
 
-def _gini(n_pos: float, n: float) -> float:
-    if n <= 0:
-        return 0.0
-    p = n_pos / n
-    return 2.0 * p * (1.0 - p)
-
-
 def _best_split(x: np.ndarray, y: np.ndarray,
                 min_leaf: int) -> tuple[float, int, float] | None:
     """Best (gain, feature, threshold); thresholds are midpoints between
@@ -54,7 +46,8 @@ def _best_split(x: np.ndarray, y: np.ndarray,
     feature index, then the lowest threshold (first strict improvement wins).
     """
     n, d = x.shape
-    parent = _gini(float(y.sum()), float(n)) * n
+    p = float(y.sum()) / n
+    parent = 2.0 * p * (1.0 - p) * n  # the node's Gini impurity times its size
     best: tuple[float, int, float] | None = None
     for f in range(d):
         order = np.argsort(x[:, f], kind="stable")
@@ -105,8 +98,7 @@ def fit_tree(x: np.ndarray, y: np.ndarray, max_depth: int = 5,
         raise ValueError("invalid tree parameters")
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
-        node = TreeNode(n_total=int(idx.size), n_critical=int(y[idx].sum()),
-                        depth=depth)
+        node = TreeNode(n_total=int(idx.size), n_critical=int(y[idx].sum()))
         if (depth >= max_depth or idx.size < 2 * min_samples_leaf
                 or node.n_critical in (0, node.n_total)):
             return node

@@ -142,6 +142,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind: {self.kind!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         try:
             if self.kind == "compare":
                 self._validate_compare()
@@ -444,9 +446,6 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
                   f"({plain['seconds']:.1f}s), nsga2dt {len(guided['archive'])} evals "
                   f"({guided['seconds']:.1f}s)")
 
-    region_reports = [r["regions"] for r in runs if r["regions"]]
-    with open(out / "regions.json", "w", encoding="utf-8") as fh:
-        json.dump(region_reports, fh, indent=2, sort_keys=True)
     head = {
         "kind": "compare",
         "budget": config.budget,
@@ -454,11 +453,11 @@ def run_compare(config: ExperimentConfig, out_dir, *, quiet: bool = False) -> di
         "base_seed": config.base_seed,
         "population": pop,
         "generations": generations,
-        "distinctness": {"mode": config.policy.mode,
-                         "min_vars": config.policy.min_vars,
-                         "epsilon": config.policy.epsilon},
+        "distinctness": asdict(config.policy),
     }
-    report = _write(out, _compare_outputs(head, runs))
+    regions = [r["regions"] for r in runs if r["regions"]]
+    report = _write(out, {**_compare_outputs(head, runs),
+                          "regions.json": json.dumps(regions, indent=2, sort_keys=True)})
     if not quiet:
         aggregate = report["aggregate"]
         med = aggregate["distinct_critical_median"]

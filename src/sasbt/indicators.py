@@ -54,17 +54,17 @@ def hypervolume(front: np.ndarray, reference: np.ndarray) -> float:
     if np.any(pts > ref):
         bad = int(np.argmax(np.any(pts > ref, axis=1)))
         raise ValueError(f"front point {pts[bad]} lies beyond the reference {ref}")
-    pts = np.unique(pts[non_dominated_mask(pts)], axis=0)
+    pts = pts[non_dominated_mask(pts)]
     if m == 2:
         return _hv2(pts, ref)
     return _hv3(pts, ref)
 
 
 def _hv2(pts: np.ndarray, ref: np.ndarray) -> float:
-    # after filtering and dedup, sorting by f1 ascending makes f2 strictly
-    # descending; each point owns the strip up to the next point's f1
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    # np.unique returns the distinct rows sorted by f1, then f2; of a filtered
+    # front that makes f2 strictly descending, and each point owns the strip
+    # up to the next point's f1
+    pts = np.unique(pts, axis=0)
     xs = np.append(pts[1:, 0], ref[0])
     return float(np.sum((xs - pts[:, 0]) * (ref[1] - pts[:, 1])))
 
@@ -75,8 +75,7 @@ def _hv3(pts: np.ndarray, ref: np.ndarray) -> float:
     for i, z in enumerate(levels):
         upper = levels[i + 1] if i + 1 < levels.size else ref[2]
         active = pts[pts[:, 2] <= z, :2]
-        active = active[non_dominated_mask(active)]
-        total += _hv2(np.unique(active, axis=0), ref[:2]) * (upper - z)
+        total += _hv2(active[non_dominated_mask(active)], ref[:2]) * (upper - z)
     return float(total)
 
 

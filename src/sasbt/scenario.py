@@ -58,7 +58,6 @@ class SimConfig:
 
     dt: float = 0.01  # integration step, s
     horizon: float = 10.0  # simulated time, s
-    ego_length: float = 4.5  # m
     ego_width: float = 1.8  # m
     spot_x: float = 45.0  # parking-spot position of the front bumper, m
     comfort_decel: float = 3.0  # parking approach deceleration, m/s^2
@@ -74,11 +73,14 @@ class SimConfig:
     input_bounds: tuple[tuple[float, float], ...] = DEFAULT_INPUT_BOUNDS
 
     def validate(self) -> None:
-        for name in ("dt", "horizon", "ego_length", "ego_width",
-                     "comfort_decel", "max_decel", "sensor_range",
-                     "corridor_half_width"):
+        for name in ("dt", "horizon", "ego_width", "comfort_decel", "max_decel",
+                     "sensor_range", "corridor_half_width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name, (lo, hi) in zip(INPUT_NAMES, self.input_bounds):
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"bounds_{name} must be finite with low < high, "
+                                 f"got [{lo}, {hi}]")
         x0, y0, x1, y1 = self.occluder
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"degenerate occluder rectangle: {self.occluder}")

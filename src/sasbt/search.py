@@ -55,9 +55,9 @@ class SearchSpace:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         # np.clip's bits (signed zeros, NaN) without its Python wrapper's cost
@@ -85,6 +85,9 @@ class SearchConfig:
             raise ValueError(f"crossover_prob outside [0, 1]: {self.crossover_prob}")
         if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError(f"mutation_prob outside [0, 1]: {self.mutation_prob}")
+        for name in ("crossover_index", "mutation_index"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 # ---------- archive ----------

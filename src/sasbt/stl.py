@@ -167,11 +167,9 @@ def robustness(formula: Formula, trace: np.ndarray, period: float) -> float:
         Robustness value; sign matches Boolean satisfaction.
 
     Raises:
-        ValueError: trace shorter than the formula's temporal horizon,
-            empty windows, or out-of-range signal indices.
+        ValueError: as `compile_requirement`, or a trace that is empty or
+            not 1-D or 2-D.
     """
-    if period <= 0:
-        raise ValueError("period must be positive")
     arr = np.asarray(trace, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -297,9 +295,6 @@ def format_requirement(f: Formula) -> str:
         return f"always[{_fmt_num(f.lo)},{_fmt_num(f.hi)}] {_wrap(f.child)}"
     if isinstance(f, Eventually):
         return f"eventually[{_fmt_num(f.lo)},{_fmt_num(f.hi)}] {_wrap(f.child)}"
-    if isinstance(f, And):
-        return " and ".join(_wrap(c) for c in f.children)
-    if isinstance(f, Or):
-        return " or ".join(_wrap(c) if isinstance(c, (And, Or)) else format_requirement(c)
-                           for c in f.children)
+    if isinstance(f, (And, Or)):
+        return (" and " if isinstance(f, And) else " or ").join(map(_wrap, f.children))
     raise TypeError(f"not a formula node: {f!r}")

@@ -69,6 +69,9 @@ def test_signal_layout_and_theta_space() -> None:
     assert np.array_equal(space.upper, [1.0, 1.0])
     with pytest.raises(ValueError, match="lower < upper"):
         SignalParam(control_points=2, lower=1.0, upper=1.0).theta_space()
+    for lower, upper in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite with lower < upper"):
+            SignalParam(lower=lower, upper=upper).validate()
 
 
 def test_single_control_point_is_constant() -> None:

@@ -152,9 +152,9 @@ def test_leaf_boxes_partition_space():
 def test_extract_regions_threshold_and_order():
     space = SearchSpace(lower=(0.0,), upper=(1.0,), names=("x",))
     # hand-built tree: left leaf 2/10 critical, right leaf 8/10
-    root = TreeNode(n_total=20, n_critical=10, depth=0, feature=0, threshold=0.5)
-    root.left = TreeNode(n_total=10, n_critical=2, depth=1)
-    root.right = TreeNode(n_total=10, n_critical=8, depth=1)
+    root = TreeNode(n_total=20, n_critical=10, feature=0, threshold=0.5)
+    root.left = TreeNode(n_total=10, n_critical=2)
+    root.right = TreeNode(n_total=10, n_critical=8)
     regions = extract_regions(root, space, min_fraction=0.5)
     assert len(regions) == 1
     assert regions[0].lower[0] == 0.5 and regions[0].upper[0] == 1.0

@@ -132,7 +132,7 @@ EXPERIMENT_KEYS = {"experiment.repetitions", "experiment.base_seed"}
 COMPARE_KEYS = EXPERIMENT_KEYS | {
     "experiment.budget",
     *(f"sim.{name}" for name in (
-        "dt", "horizon", "ego_length", "ego_width", "spot_x", "comfort_decel",
+        "dt", "horizon", "ego_width", "spot_x", "comfort_decel",
         "max_decel", "occluder", "ped_start", "sensor_range", "sensor_half_angle",
         "corridor_half_width", "brake_margin", "theta1", "theta2",
         "bounds_v0c", "bounds_v0p", "bounds_t_wait")),
@@ -159,7 +159,7 @@ FALSIFY_KEYS = EXPERIMENT_KEYS | {
 ], ids=["compare", "falsify"])
 def test_each_kind_reads_exactly_its_keys(monkeypatch, text: str,
                                           expected: set[str]) -> None:
-    assert (len(COMPARE_KEYS), len(FALSIFY_KEYS)) == (35, 17)
+    assert (len(COMPARE_KEYS), len(FALSIFY_KEYS)) == (34, 17)
     read: set[str] = set()
     get = harness._Cfg.get
 
@@ -179,6 +179,8 @@ def test_each_kind_reads_exactly_its_keys(monkeypatch, text: str,
     # fields that are fixed by the harness, not read from the config
     *(("compare", key) for key in ("search.generations", "search.seed", "dt.budget",
                                    "dt.seed", "dt.search", "sim.input_bounds")),
+    # the simulator models the ego by its front bumper: a length would change nothing
+    ("compare", "sim.ego_length"),
 ])
 def test_keys_outside_the_kind_schema_are_rejected(kind: str, key: str) -> None:
     text = {"compare": COMPARE_TEXT, "falsify": FALSIFY_TEXT}[kind]
@@ -765,6 +767,29 @@ def test_cli_config_errors_exit_2(tmp_path: Path, capsys) -> None:
         assert cli.main([command, "--config", str(huge_grid),
                          "--out", str(tmp_path / "never")]) == cli.EXIT_CONFIG
         assert not (tmp_path / "never").exists()
+    # bad bounds, indices and seeds fail at load, before any simulation
+    small = (ROOT / "configs" / "compare_small.cfg").read_text(encoding="utf-8")
+    for command, text, args, message in (
+            ("compare", small, ["--seed", "-1"], "base_seed must be >= 0"),
+            ("falsify", FALSIFY_TEXT, ["--seed", "-1"], "base_seed must be >= 0"),
+            ("compare", "experiment.base_seed = -3\n", [], "base_seed must be >= 0"),
+            ("compare", "search.crossover_index = -1\n", [], "crossover_index must be >= 0"),
+            ("compare", "search.mutation_index = nan\n", [], "mutation_index must be >= 0"),
+            ("compare", "sim.bounds_v0c = 5, 1\n", [], "bounds_v0c must be finite"),
+            ("compare", "sim.bounds_v0p = nan, 3\n", [], "bounds_v0p must be finite"),
+            ("compare", "sim.bounds_t_wait = 0, inf\n", [], "bounds_t_wait must be finite"),
+            ("falsify", FALSIFY_TEXT + "signal.lower = -inf\n", [], "must be finite"),
+            ("falsify", FALSIFY_TEXT.replace("signal.upper = 1.5", "signal.upper = nan"), [],
+             "must be finite")):
+        if not args:
+            with pytest.raises(harness.ConfigError, match=message):
+                harness.ExperimentConfig.from_text(text)
+        bad_cfg = tmp_path / "bad_value.cfg"
+        bad_cfg.write_text(text)
+        assert cli.main([command, "--config", str(bad_cfg), "--out", str(tmp_path / "never"),
+                         "--quiet", *args]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "never").exists()
+        assert message in capsys.readouterr().err
     falsify_cfg = tmp_path / "f.cfg"
     falsify_cfg.write_text(FALSIFY_TEXT)
     # kind mismatch between config and subcommand

@@ -230,6 +230,25 @@ def test_only_hv_invariant_to_duplicating_a_member():
     assert spread(dup, extremes) != spread(front, extremes)
 
 
+def test_hv_bits_ignore_copies_zero_signs_and_row_order():
+    # the one dedup sits in the 2-D sweep, which the 3-D slices call too
+    rng = np.random.default_rng(4)
+    grid = np.arange(33) / 32
+    for trial in range(200):
+        m, n = 2 + trial % 2, int(rng.integers(1, 30))
+        if m == 2:  # n mutually non-dominated points: a sum of n strips
+            front = np.column_stack([np.sort(rng.choice(grid, n, replace=False)),
+                                     np.sort(rng.choice(grid, n, replace=False))[::-1]])
+        else:
+            front = rng.choice(grid, (n, m))
+        copies = np.vstack([front, front[rng.integers(0, n, n)]])
+        zeros = copies == 0.0
+        copies[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        ref = np.full(m, 1.01)
+        assert (np.float64(hypervolume(copies[rng.permutation(len(copies))], ref)).tobytes()
+                == np.float64(hypervolume(front, ref)).tobytes()), f"trial {trial}"
+
+
 # ---------- normalization ----------
 
 

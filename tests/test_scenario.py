@@ -6,7 +6,7 @@ the traced simulation as its oracle."""
 import itertools
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -61,6 +61,31 @@ def test_config_validation():
         replace(SimConfig(), occluder=(5.0, 2.0, 5.0, 3.0)).validate()
     with pytest.raises(ValueError):
         replace(SimConfig(), sensor_half_angle=2.0).validate()
+    for bounds in ((5.0, 1.0), (1.0, 1.0), (math.nan, 12.0), (1.0, math.inf),
+                   (-math.inf, 12.0)):
+        with pytest.raises(ValueError, match="bounds_v0c must be finite with low < high"):
+            replace(SimConfig(), input_bounds=(bounds, *DEFAULT_INPUT_BOUNDS[1:])).validate()
+    with pytest.raises(ValueError, match="bounds_t_wait"):
+        replace(SimConfig(), input_bounds=(*DEFAULT_INPUT_BOUNDS[:2], (8.0, 0.0))).validate()
+
+
+def test_every_config_field_is_read_by_the_simulator():
+    # a field that only validation reads is a knob that changes nothing
+    read = set()
+
+    class Recording(SimConfig):
+        def validate(self):
+            pass
+
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    cfg = Recording()
+    inp = ScenarioInput(6.0, 1.0, 0.0)  # critical, so both thresholds are read
+    fitness(simulate(inp, cfg), cfg)
+    evaluate_input(inp, cfg)
+    assert {f.name for f in fields(SimConfig)} - read == set()
 
 
 # ---------- exact kinematics in event-free regimes ----------

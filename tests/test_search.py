@@ -462,4 +462,10 @@ def test_search_config_validation():
         SearchConfig(population=0).validate()
     with pytest.raises(ValueError):
         SearchConfig(crossover_prob=1.5).validate()
+    # an index of -1 divides by zero in SBX and mutation; NaN fails every comparison
+    for name in ("crossover_index", "mutation_index"):
+        for bad in (-1.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                SearchConfig(**{name: bad}).validate()
+    SearchConfig(crossover_index=0.0, mutation_index=0.0).validate()
     SearchConfig().validate()
