@@ -133,7 +133,7 @@ def siso_rows(config: ArxConfig, n_samples: int) -> int:
     return max(0, n_samples - _row_start(config.na, config.nb, config.nk))
 
 
-def fit_arx(u, y, config: ArxConfig | None = None) -> ArxModel:
+def fit_arx(u, y, config: ArxConfig = ArxConfig()) -> ArxModel:
     """Least-squares ARX fit over one or more traces.
 
     The regressor row of sample k holds y[k-1..k-na] then u[k-nk..k-nk-nb+1];
@@ -153,7 +153,6 @@ def fit_arx(u, y, config: ArxConfig | None = None) -> ArxModel:
         ValueError: fewer usable regression rows than coefficients, traces
             that are not 1-D or differ in length, or invalid orders.
     """
-    config = config or ArxConfig()
     traces = _as_traces(u, y)
     config.validate()
     na, nb, nk = config.na, config.nb, config.nk

@@ -315,16 +315,21 @@ class RoundLog:
 
 @dataclass
 class FalsifyResult:
-    falsified: bool
-    real_simulations: int
-    falsifying_theta: np.ndarray | None
-    falsifying_input: np.ndarray | None
+    """A trial is its round log: it stops at its first negative real
+    robustness, so it is falsified exactly when the last logged one is."""
+
     rounds: list[RoundLog]
+    falsifying_theta: np.ndarray | None = None
+    falsifying_input: np.ndarray | None = None
+
+    falsified = property(lambda self: bool(self.rounds)
+                         and self.rounds[-1].real_robustness < 0.0)
+    real_simulations = property(lambda self: len(self.rounds))
 
 
 def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
             signal: SignalParam, *, real_budget: int = 300,
-            surrogate_budget: int = 300, arx: ArxConfig | None = None,
+            surrogate_budget: int = 300, arx: ArxConfig = ArxConfig(),
             n_initial: int = 2, seed: int = 0) -> FalsifyResult:
     """Surrogate-guided falsification of `requirement` on `sut`.
 
@@ -353,7 +358,6 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
         and `falsifying_input` always re-simulates to a violation.
     """
     compiled_rho = check_trial(requirement, signal, real_budget)
-    arx = arx or ArxConfig()
     check_surrogate(signal, surrogate_budget, arx, n_initial)
     rng = np.random.default_rng(seed)
     space = signal.theta_space()
@@ -382,8 +386,8 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
         if rho < best_rho:
             best_rho, best_theta = rho, theta
         if rho < 0.0:
-            return FalsifyResult(True, len(rounds), theta, u, rounds)
-    return FalsifyResult(False, len(rounds), None, None, rounds)
+            return FalsifyResult(rounds, theta, u)
+    return FalsifyResult(rounds)
 
 
 def random_baseline(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
@@ -403,8 +407,8 @@ def random_baseline(sut: Callable[[np.ndarray], np.ndarray], requirement: Formul
         rho = robustness(requirement, y, signal.period)
         rounds.append(RoundLog(k, None, None, rho))
         if rho < 0.0:
-            return FalsifyResult(True, k + 1, theta, u, rounds)
-    return FalsifyResult(False, real_budget, None, None, rounds)
+            return FalsifyResult(rounds, theta, u)
+    return FalsifyResult(rounds)
 
 
 # ---------- trial statistics ----------
@@ -412,7 +416,6 @@ def random_baseline(sut: Callable[[np.ndarray], np.ndarray], requirement: Formul
 
 @dataclass(frozen=True)
 class FalsificationStats:
-    trials: int
     fr: int  # number of successful trials
     mean_sims: float | None  # over successful trials; None when fr == 0
     median_sims: float | None
@@ -421,9 +424,8 @@ class FalsificationStats:
 def falsification_stats(results: Sequence[FalsifyResult]) -> FalsificationStats:
     sims = [r.real_simulations for r in results if r.falsified]
     if not sims:
-        return FalsificationStats(len(results), 0, None, None)
-    return FalsificationStats(len(results), len(sims),
-                              float(np.mean(sims)), float(np.median(sims)))
+        return FalsificationStats(0, None, None)
+    return FalsificationStats(len(sims), float(np.mean(sims)), float(np.median(sims)))
 
 
 def _fmt_stat(v: float | None) -> str:

@@ -145,8 +145,8 @@ class CriticalRegion:
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
-    def as_space(self, names=None) -> SearchSpace:
-        return SearchSpace(self.lower.copy(), self.upper.copy(), names)
+    def as_space(self) -> SearchSpace:
+        return SearchSpace(self.lower.copy(), self.upper.copy())
 
 
 def leaf_boxes(tree: TreeNode, space: SearchSpace) -> list[tuple[TreeNode, np.ndarray, np.ndarray]]:
@@ -204,6 +204,10 @@ class DtConfig:
                 f"budget {self.budget} smaller than initial sample {self.initial_lhs}")
         if not 0.0 < self.region_threshold <= 1.0:
             raise ValueError("region_threshold must lie in (0, 1]")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.min_samples_leaf < 1:
+            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         self.search.validate()
         # a 0-generation run in a box already holding a population of rows
         # appends nothing, so the loop would refit the same tree forever
@@ -255,10 +259,10 @@ def stage_checkpoints(stages: list[StageRecord]) -> list[tuple[str, int]]:
     return out
 
 
-def self_referenced_snapshots(archive: EvaluationArchive,
-                              stages: list[StageRecord],
-                              policy: indicators.DistinctnessPolicy | None = None,
-                              ) -> list[dict]:
+def self_referenced_snapshots(
+        archive: EvaluationArchive, stages: list[StageRecord],
+        policy: indicators.DistinctnessPolicy = indicators.DistinctnessPolicy(),
+) -> list[dict]:
     """Indicator rows at every stage checkpoint, scored against a reference
     built from the archive alone (its own objective ranges and final
     non-dominated front)."""
@@ -321,7 +325,7 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
         iterations.append(report)
         # no leaf qualified: fall back to one whole-space run seeded from
         # the fittest archive members so the budget keeps working
-        runs = ([(i, r.as_space(space.names)) for i, r in enumerate(regions)]
+        runs = ([(i, r.as_space()) for i, r in enumerate(regions)]
                 or [(None, space)])
         for r_idx, box in runs:
             seeds = _seed_rows(archive, box, pop)

@@ -119,7 +119,6 @@ class ExperimentConfig:
     overrides, then validated before any simulation runs."""
 
     kind: str = "compare"
-    budget: int = 1000
     repetitions: int = 10
     base_seed: int = 1
     sim: scenario.SimConfig = field(default_factory=scenario.SimConfig)
@@ -136,6 +135,8 @@ class ExperimentConfig:
     arx: ArxConfig = field(default_factory=ArxConfig)
     method: str = "anneal"
     n_initial: int = 2
+
+    budget = property(lambda self: self.dt.budget)  # both searches get this budget
 
     def validate(self) -> None:
         if self.kind not in ("compare", "falsify"):
@@ -166,9 +167,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"budget {self.budget} is not a multiple of the population {pop}; "
                 "both algorithms must get the same real-evaluation budget")
-        if self.dt.budget != self.budget:
-            raise ConfigError(
-                f"unequal budgets: search {self.budget} vs tree-guided {self.dt.budget}")
 
     def _validate_falsify(self) -> None:
         """What only the experiment knows, then the checks `falsify` runs."""
@@ -193,13 +191,13 @@ class ExperimentConfig:
         for name in ("repetitions", "base_seed"):
             setattr(self, name, cfg.get("experiment." + name, getattr(self, name)))
         if kind == "compare":
-            self.budget = cfg.get("experiment.budget", self.budget)
             self.sim = cfg.section("sim.", self.sim, input_bounds=tuple(
                 cfg.get("sim.bounds_" + name, bounds)
                 for name, bounds in zip(scenario.INPUT_NAMES, self.sim.input_bounds)))
             # generations derive from the budget and seeds from the repetition
             self.search = cfg.section("search.", self.search, generations=0, seed=0)
-            self.dt = cfg.section("dt.", self.dt, budget=self.budget, seed=0, search=replace(
+            self.dt = cfg.section("dt.", self.dt, budget=cfg.get(
+                "experiment.budget", self.dt.budget), seed=0, search=replace(
                 self.search,
                 population=cfg.get("dt.population", self.dt.search.population),
                 generations=cfg.get("dt.generations", self.dt.search.generations)))
@@ -553,16 +551,6 @@ def _compare_inputs(out: Path, head: dict) -> list[dict]:
             for rep in range(head["repetitions"]) for algorithm in ALGORITHMS]
 
 
-def _trial_result(path: Path) -> FalsifyResult:
-    """A trial's result as far as its round log records it: a trial stops
-    at its first real violation, so it is falsified exactly when the last
-    logged robustness is negative."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rounds = [RoundLog(**json.loads(line)) for line in fh if line.strip()]
-    falsified = bool(rounds) and rounds[-1].real_robustness < 0.0
-    return FalsifyResult(falsified, len(rounds), None, None, rounds)
-
-
 def _first_difference(found: str, expected: str) -> str:
     for lineno, (a, b) in enumerate(zip(found.splitlines(), expected.splitlines()), 1):
         if a != b:
@@ -590,9 +578,10 @@ def replay(out_dir, *, quiet: bool = False) -> bool:
         if kind == "compare":
             expected = _compare_outputs(head, _compare_inputs(out, head))
         else:
-            expected = _falsify_outputs(
-                head, [_trial_result(out / f"trial_{i:02d}.jsonl")
-                       for i in range(head["repetitions"])])
+            expected = _falsify_outputs(head, [FalsifyResult([
+                RoundLog(**json.loads(line)) for line in (out / f"trial_{i:02d}.jsonl")
+                .read_text(encoding="utf-8").splitlines() if line.strip()])
+                for i in range(head["repetitions"])])
     except (KeyError, TypeError, ValueError) as exc:
         if not quiet:
             print(f"replay cannot re-render the artifacts: {exc!r}")

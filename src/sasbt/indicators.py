@@ -174,21 +174,19 @@ class DistinctnessPolicy:
             raise ValueError(f"unknown distinctness mode: {self.mode!r}")
         if self.min_vars < 1:
             raise ValueError("min_vars must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not self.epsilon >= 0:  # NaN fails too
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 def distinct_critical(genomes: np.ndarray,
-                      policy: DistinctnessPolicy | None = None) -> int:
+                      policy: DistinctnessPolicy = DistinctnessPolicy()) -> int:
     """Count distinct critical scenarios among the given genomes."""
     return int(np.count_nonzero(_new_scenarios(genomes, policy)))
 
 
-def _new_scenarios(genomes: np.ndarray,
-                   policy: DistinctnessPolicy | None) -> np.ndarray:
+def _new_scenarios(genomes: np.ndarray, policy: DistinctnessPolicy) -> np.ndarray:
     """Per row, whether it is a scenario distinct from every row before it;
     the running sum counts the distinct scenarios of every prefix."""
-    policy = policy or DistinctnessPolicy()
     policy.validate()
     g = np.asarray(genomes, dtype=float)
     new = np.zeros(len(g), dtype=bool)
@@ -243,7 +241,7 @@ def build_reference(objective_sets: list[np.ndarray]) -> Reference:
 
 def prefix_indicators(objectives: np.ndarray, genomes: np.ndarray,
                       critical: np.ndarray, counts, ref: Reference,
-                      policy: DistinctnessPolicy | None = None) -> list[dict]:
+                      policy: DistinctnessPolicy = DistinctnessPolicy()) -> list[dict]:
     """Score the archive prefix `[:count]` for each count in `counts`.
 
     The rows of (N, m) `objectives`, (N, n) `genomes` and (N,) boolean

@@ -20,8 +20,9 @@ fitness-only path the searches call: it integrates the run in segments of
 constant deceleration and records no trace.  `simulate` steps the Euler loop
 sample by sample and returns the full trace for export; with `fitness` it is
 the reference oracle that `evaluate_input` matches bit for bit.  Both
-validate a `SimConfig` and build its time grid once per config object;
-each input is still checked against the bounds on every call.
+validate a `SimConfig` and build its time grid once per config object (a
+call without one uses the default instance of the signature); each input
+is still checked against the bounds on every call.
 """
 
 from __future__ import annotations
@@ -73,10 +74,19 @@ class SimConfig:
     input_bounds: tuple[tuple[float, float], ...] = DEFAULT_INPUT_BOUNDS
 
     def validate(self) -> None:
-        for name in ("dt", "horizon", "ego_width", "comfort_decel", "max_decel",
-                     "sensor_range", "corridor_half_width"):
+        for name in ("dt", "horizon"):  # a NaN grid fails the multiple-of-dt check
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("ego_width", "comfort_decel", "max_decel", "sensor_range",
+                     "corridor_half_width"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("spot_x", "theta1", "theta2", "ped_start"):
+            if np.isnan(getattr(self, name)).any():
+                raise ValueError(f"{name} must not be NaN")
+        if len(self.input_bounds) != len(INPUT_NAMES):
+            raise ValueError(f"input_bounds needs {len(INPUT_NAMES)} (low, high) pairs, "
+                             f"got {len(self.input_bounds)}")
         for name, (lo, hi) in zip(INPUT_NAMES, self.input_bounds):
             if not -math.inf < lo < hi < math.inf:
                 raise ValueError(f"bounds_{name} must be finite with low < high, "
@@ -86,8 +96,8 @@ class SimConfig:
             raise ValueError(f"degenerate occluder rectangle: {self.occluder}")
         if not 0.0 < self.sensor_half_angle < math.pi / 2:
             raise ValueError("sensor_half_angle must lie in (0, pi/2)")
-        if self.brake_margin < 0:
-            raise ValueError("brake_margin must be >= 0")
+        if not self.brake_margin >= 0:  # NaN fails too
+            raise ValueError(f"brake_margin must be >= 0, got {self.brake_margin}")
         steps = self.horizon / self.dt
         n_steps = round(steps) if math.isfinite(steps) else 0
         if n_steps < 1 or abs(n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
@@ -185,7 +195,7 @@ def _checked_grid(inp: ScenarioInput, cfg: SimConfig) -> tuple[int, np.ndarray, 
     return grid
 
 
-def simulate(inp: ScenarioInput, cfg: SimConfig | None = None) -> SimulationTrace:
+def simulate(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> SimulationTrace:
     """Run the scenario for the full horizon (never truncated early).
 
     Args:
@@ -199,7 +209,6 @@ def simulate(inp: ScenarioInput, cfg: SimConfig | None = None) -> SimulationTrac
         ValueError: out-of-bounds input (message names the offending field)
             or invalid configuration.
     """
-    cfg = cfg or SimConfig()
     n_steps, _, tan_half = _checked_grid(inp, cfg)
     half_corridor = cfg.corridor_half_width
     px0, py0 = cfg.ped_start
@@ -261,13 +270,12 @@ def bumper_distances(trace: SimulationTrace, cfg: SimConfig) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
-def fitness(trace: SimulationTrace, cfg: SimConfig | None = None) -> FitnessVector:
+def fitness(trace: SimulationTrace, cfg: SimConfig = SimConfig()) -> FitnessVector:
     """Grade a trace: (f1, f2) and the criticality flag.
 
     The minimum is resolved to the earliest sample achieving it, so f2 is
     well defined even for flat minima.
     """
-    cfg = cfg or SimConfig()
     return _grade(bumper_distances(trace, cfg), trace.ego_v, cfg)
 
 
@@ -278,7 +286,7 @@ def _grade(d: np.ndarray, ego_v: np.ndarray, cfg: SimConfig) -> FitnessVector:
     return FitnessVector(f1=f1, f2=f2, critical=f1 <= cfg.theta1 and f2 >= cfg.theta2)
 
 
-def evaluate_input(inp: ScenarioInput, cfg: SimConfig | None = None) -> FitnessVector:
+def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessVector:
     """Fitness of one run, bit-identical to fitness(simulate(inp, cfg), cfg).
 
     Only the ego x, ego speed and pedestrian y samples are computed.  The
@@ -296,7 +304,6 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig | None = None) -> FitnessV
     Raises:
         ValueError: as `simulate`.
     """
-    cfg = cfg or SimConfig()
     n, t, tan_half = _checked_grid(inp, cfg)
     dt = cfg.dt
     px0, py0 = cfg.ped_start
@@ -364,20 +371,18 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig | None = None) -> FitnessV
     return _grade(d, ego_v, cfg)
 
 
-def search_space(cfg: SimConfig | None = None) -> SearchSpace:
+def search_space(cfg: SimConfig = SimConfig()) -> SearchSpace:
     """Decision-variable box matching the configured input bounds."""
-    cfg = cfg or SimConfig()
     bounds = np.asarray(cfg.input_bounds, dtype=float)
-    return SearchSpace(lower=bounds[:, 0], upper=bounds[:, 1], names=INPUT_NAMES)
+    return SearchSpace(lower=bounds[:, 0], upper=bounds[:, 1])
 
 
-def make_evaluator(cfg: SimConfig | None = None):
+def make_evaluator(cfg: SimConfig = SimConfig()):
     """Evaluator for the search core: genome -> ((f1, -f2), critical).
 
     f2 is negated because the search minimizes every objective while the
     scenario hunt wants minimum miss distance at maximum speed.
     """
-    cfg = cfg or SimConfig()
 
     def _evaluate(genome: np.ndarray) -> tuple[np.ndarray, bool]:
         fv = evaluate_input(ScenarioInput.from_array(genome), cfg)

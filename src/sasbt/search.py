@@ -38,7 +38,6 @@ class SearchSpace:
 
     lower: np.ndarray
     upper: np.ndarray
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)

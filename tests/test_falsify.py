@@ -17,6 +17,7 @@ from sasbt.falsify import (
     ANNEAL_T0,
     FalsificationStats,
     FalsifyResult,
+    RoundLog,
     SignalParam,
     anneal_minimize,
     benchmark_sut,
@@ -573,13 +574,14 @@ def test_unscorable_trials_fail_before_any_simulation(search, text: str,
 
 
 def _result(falsified: bool, sims: int) -> FalsifyResult:
-    return FalsifyResult(falsified, sims, None, None, [])
+    return FalsifyResult([RoundLog(k, None, None, -1.0 if falsified and k == sims - 1 else 1.0)
+                          for k in range(sims)])
 
 
 def test_stats_aggregate_only_successful_trials() -> None:
     stats = falsification_stats(
         [_result(True, 3), _result(True, 6), _result(False, 300), _result(True, 4)])
-    assert stats == FalsificationStats(trials=4, fr=3, mean_sims=13 / 3, median_sims=4.0)
+    assert stats == FalsificationStats(fr=3, mean_sims=13 / 3, median_sims=4.0)
 
 
 def test_stats_row_formatting_and_parsing() -> None:

@@ -129,8 +129,7 @@ def test_fit_tree_validation():
 
 def test_leaf_boxes_partition_space():
     rng = np.random.default_rng(2)
-    space = SearchSpace(lower=(0.0, -1.0, 5.0), upper=(2.0, 1.0, 9.0),
-                        names=("a", "b", "c"))
+    space = SearchSpace(lower=(0.0, -1.0, 5.0), upper=(2.0, 1.0, 9.0))
     x = rng.uniform(space.lower, space.upper, size=(120, 3))
     y = rng.random(120) < 0.3
     tree = fit_tree(x, y, max_depth=4, min_samples_leaf=5)
@@ -150,7 +149,7 @@ def test_leaf_boxes_partition_space():
 
 
 def test_extract_regions_threshold_and_order():
-    space = SearchSpace(lower=(0.0,), upper=(1.0,), names=("x",))
+    space = SearchSpace(lower=(0.0,), upper=(1.0,))
     # hand-built tree: left leaf 2/10 critical, right leaf 8/10
     root = TreeNode(n_total=20, n_critical=10, feature=0, threshold=0.5)
     root.left = TreeNode(n_total=10, n_critical=2)
@@ -168,9 +167,8 @@ def test_region_contains_and_space():
                             upper=np.array([1.0, 2.0]), n_critical=3, n_total=4)
     assert region.contains(np.array([0.5, 1.5]))
     assert not region.contains(np.array([0.5, 2.5]))
-    sub = region.as_space(("a", "b"))
+    sub = region.as_space()
     np.testing.assert_array_equal(sub.lower, [0.0, 1.0])
-    assert sub.names == ("a", "b")
 
 
 def _seed_reference(archive, region, limit):
@@ -214,7 +212,7 @@ def _box_evaluator(genome):
     return np.array([f1, float(-genome[0])]), inside
 
 
-UNIT2 = SearchSpace(lower=(0.0, 0.0), upper=(1.0, 1.0), names=("x", "y"))
+UNIT2 = SearchSpace(lower=(0.0, 0.0), upper=(1.0, 1.0))
 
 
 def _small_config(budget=400, seed=3) -> DtConfig:
@@ -357,3 +355,17 @@ def test_dt_config_validation():
     with pytest.raises(ValueError, match="generations"):
         DtConfig(search=SearchConfig(population=4, generations=0)).validate()
     DtConfig().validate()
+
+
+def test_tree_settings_fail_before_any_simulation():
+    calls = []
+
+    def evaluator(genome):
+        calls.append(genome)
+        return np.zeros(2), False
+
+    for bad, message in ((DtConfig(max_depth=-1), "max_depth must be >= 0"),
+                         (DtConfig(min_samples_leaf=0), "min_samples_leaf must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            nsga2_dt(UNIT2, evaluator, bad)
+    assert calls == []

@@ -551,7 +551,7 @@ def test_replay_needs_a_report(tmp_path: Path) -> None:
 
 def test_invalid_config_fails_before_any_output(tmp_path: Path) -> None:
     config = ExperimentConfig.from_text(COMPARE_TEXT)
-    config.budget = 81  # breaks the multiple-of-population rule
+    config.dt.budget = 81  # breaks the multiple-of-population rule
     out = tmp_path / "never"
     with pytest.raises(ConfigError):
         run_compare(config, out, quiet=True)
@@ -780,7 +780,20 @@ def test_cli_config_errors_exit_2(tmp_path: Path, capsys) -> None:
             ("compare", "sim.bounds_t_wait = 0, inf\n", [], "bounds_t_wait must be finite"),
             ("falsify", FALSIFY_TEXT + "signal.lower = -inf\n", [], "must be finite"),
             ("falsify", FALSIFY_TEXT.replace("signal.upper = 1.5", "signal.upper = nan"), [],
-             "must be finite")):
+             "must be finite"),
+            # a NaN compares false, so each check is written to fail on it
+            *(("compare", f"sim.{name} = nan\n", [], f"{name} must be positive, got nan")
+              for name in ("ego_width", "comfort_decel", "max_decel", "sensor_range",
+                           "corridor_half_width")),
+            *(("compare", f"sim.{name} = nan\n", [], f"{name} must not be NaN")
+              for name in ("spot_x", "theta1", "theta2")),
+            ("compare", "sim.brake_margin = nan\n", [], "brake_margin must be >= 0, got nan"),
+            ("compare", "sim.ped_start = 23, nan\n", [], "ped_start must not be NaN"),
+            ("compare", "distinct.epsilon = nan\n", [], "epsilon must be >= 0, got nan"),
+            ("compare", small + "sim.theta1 = nan\n", [], "theta1 must not be NaN"),
+            # tree settings fail at load, not after the initial sample is simulated
+            ("compare", "dt.max_depth = -1\n", [], "max_depth must be >= 0"),
+            ("compare", "dt.min_samples_leaf = 0\n", [], "min_samples_leaf must be >= 1")):
         if not args:
             with pytest.raises(harness.ConfigError, match=message):
                 harness.ExperimentConfig.from_text(text)

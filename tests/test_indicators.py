@@ -310,6 +310,8 @@ def test_distinct_empty_and_policy_validation():
         DistinctnessPolicy(mode="thresholded", min_vars=0).validate()
     with pytest.raises(ValueError):
         DistinctnessPolicy(mode="thresholded", epsilon=-1.0).validate()
+    with pytest.raises(ValueError, match="epsilon must be >= 0, got nan"):
+        DistinctnessPolicy(mode="thresholded", epsilon=float("nan")).validate()
 
 
 # ---------- incremental prefix scoring against the batch pipeline ----------

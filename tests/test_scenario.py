@@ -67,6 +67,15 @@ def test_config_validation():
             replace(SimConfig(), input_bounds=(bounds, *DEFAULT_INPUT_BOUNDS[1:])).validate()
     with pytest.raises(ValueError, match="bounds_t_wait"):
         replace(SimConfig(), input_bounds=(*DEFAULT_INPUT_BOUNDS[:2], (8.0, 0.0))).validate()
+    # one (low, high) pair per input: with two, t_wait would go unchecked
+    with pytest.raises(ValueError, match="input_bounds needs 3"):
+        replace(SimConfig(), input_bounds=DEFAULT_INPUT_BOUNDS[:2]).validate()
+    for name in ("ego_width", "comfort_decel", "max_decel", "sensor_range",
+                 "corridor_half_width", "brake_margin", "spot_x", "theta1", "theta2"):
+        with pytest.raises(ValueError, match=name):
+            replace(SimConfig(), **{name: math.nan}).validate()
+    with pytest.raises(ValueError, match="ped_start must not be NaN"):
+        replace(SimConfig(), ped_start=(23.0, math.nan)).validate()
 
 
 def test_every_config_field_is_read_by_the_simulator():
@@ -276,7 +285,6 @@ def test_search_space_matches_bounds():
     space = search_space()
     np.testing.assert_array_equal(space.lower, [b[0] for b in DEFAULT_INPUT_BOUNDS])
     np.testing.assert_array_equal(space.upper, [b[1] for b in DEFAULT_INPUT_BOUNDS])
-    assert space.names == ("v0c", "v0p", "t_wait")
 
 
 def test_simulation_deterministic():
@@ -469,6 +477,17 @@ def test_evaluate_input_validates_config_once_and_invalid_ones_always(monkeypatc
                 evaluate_input(ScenarioInput(5.0, 1.0, 2.0), bad)
             with pytest.raises(ValueError):
                 simulate(ScenarioInput(5.0, 1.0, 2.0), bad)
+
+
+def test_config_less_calls_share_one_validated_default(monkeypatch):
+    validated = []
+    check = SimConfig.validate
+    monkeypatch.setattr(SimConfig, "validate",
+                        lambda self: validated.append(self) or check(self))
+    inp = ScenarioInput(5.0, 1.0, 2.0)
+    fits = [evaluate_input(inp) for _ in range(5)]
+    assert len(validated) <= 1  # the default instance caches its validated grid
+    assert fits == [evaluate_input(inp, SimConfig())] * 5
 
 
 def test_evaluate_input_validates_like_simulate():

@@ -85,7 +85,7 @@ def test_crowding_distance_small_and_degenerate():
 
 
 def test_lhs_sample_stratification():
-    space = SearchSpace(lower=(0.0,), upper=(8.0,), names=("x",))
+    space = SearchSpace(lower=(0.0,), upper=(8.0,))
     pts = lhs_sample(space, 4, 123)[:, 0]
     # exactly one point per stratum [0,2),[2,4),[4,6),[6,8)
     strata = np.floor(pts / 2.0).astype(int)
@@ -93,7 +93,7 @@ def test_lhs_sample_stratification():
 
 
 def test_lhs_sample_stratification_large_and_bounds():
-    space = SearchSpace(lower=(-3.0, 10.0), upper=(5.0, 11.0), names=("a", "b"))
+    space = SearchSpace(lower=(-3.0, 10.0), upper=(5.0, 11.0))
     rng = np.random.default_rng(9)
     for _ in range(5):
         pts = lhs_sample(space, 100, rng)
@@ -188,7 +188,7 @@ def _sphere_evaluator(genome):
     return np.array([f1, f2]), f1 < 0.01
 
 
-SPACE2 = SearchSpace(lower=(0.0, 0.0), upper=(1.0, 1.0), names=("x", "y"))
+SPACE2 = SearchSpace(lower=(0.0, 0.0), upper=(1.0, 1.0))
 
 
 def test_evolve_archive_length_exact():
@@ -431,10 +431,10 @@ def test_evolve_deterministic():
 
 def test_search_space_validation():
     with pytest.raises(ValueError):
-        SearchSpace(lower=(1.0,), upper=(1.0,), names=("x",))
+        SearchSpace(lower=(1.0,), upper=(1.0,))
     with pytest.raises(ValueError):
-        SearchSpace(lower=(0.0, 2.0), upper=(1.0, 1.0), names=("a", "b"))
-    space = SearchSpace(lower=(0.0,), upper=(2.0,), names=("x",))
+        SearchSpace(lower=(0.0, 2.0), upper=(1.0, 1.0))
+    space = SearchSpace(lower=(0.0,), upper=(2.0,))
     assert space.contains(np.array([1.0]))
     assert not space.contains(np.array([2.5]))
     np.testing.assert_array_equal(space.clip(np.array([-1.0])), [0.0])
