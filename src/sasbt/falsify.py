@@ -26,7 +26,8 @@ and keeps the exact random stream of a one-proposal-at-a-time walk
 (`anneal_minimize`).  Falsification is single-input, single-output.
 
 Also provides the parametric input-signal encoding shared by every system
-under test, two built-in benchmark systems, a pure-random baseline, and the
+under test (its grid checked by `search.grid_steps`, as the simulator's
+`dt` is), two built-in benchmark systems, a pure-random baseline, and the
 FR / mean / median trial statistics table.
 """
 
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arx import ArxConfig, ArxModel, fit_arx, lfilter, siso_rows
-from .search import MAX_SAMPLES, SearchSpace, lhs_sample
+from .search import SearchSpace, grid_steps, lhs_sample
 from .stl import Formula, compile_requirement, robustness
 
 # ---------- input signals ----------
@@ -63,21 +64,14 @@ class SignalParam:
             raise ValueError("control_points must be >= 1")
         if self.interpolation not in ("constant", "linear"):
             raise ValueError(f"unknown interpolation: {self.interpolation!r}")
-        if self.period <= 0 or self.horizon <= 0:
-            raise ValueError("period and horizon must be positive")
-        n = self.horizon / self.period
-        if not math.isfinite(n) or abs(n - round(n)) > 1e-9:
-            raise ValueError("horizon must be a multiple of the sample period")
-        if self.n_samples > MAX_SAMPLES:
-            raise ValueError(f"horizon {self.horizon} / period {self.period} asks for "
-                             f"more than {MAX_SAMPLES} samples")
+        grid_steps(self.horizon, self.period, "period")
         if not -math.inf < self.lower < self.upper < math.inf:
             raise ValueError("amplitude bounds must be finite with lower < upper, "
                              f"got [{self.lower}, {self.upper}]")
 
     @property
     def n_samples(self) -> int:
-        return int(round(self.horizon / self.period)) + 1
+        return grid_steps(self.horizon, self.period, "period") + 1
 
     @cached_property
     def expand(self) -> Callable[[np.ndarray], np.ndarray]:

@@ -132,21 +132,15 @@ def predict_critical(tree: TreeNode, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CriticalRegion:
-    lower: np.ndarray
-    upper: np.ndarray
+class CriticalRegion(SearchSpace):
+    """A critical leaf box, searched as it is, with its leaf's counts."""
+
     n_critical: int
     n_total: int
 
     @property
     def critical_fraction(self) -> float:
         return self.n_critical / self.n_total if self.n_total else 0.0
-
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
-    def as_space(self) -> SearchSpace:
-        return SearchSpace(self.lower.copy(), self.upper.copy())
 
 
 def leaf_boxes(tree: TreeNode, space: SearchSpace) -> list[tuple[TreeNode, np.ndarray, np.ndarray]]:
@@ -325,8 +319,7 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
         iterations.append(report)
         # no leaf qualified: fall back to one whole-space run seeded from
         # the fittest archive members so the budget keeps working
-        runs = ([(i, r.as_space()) for i, r in enumerate(regions)]
-                or [(None, space)])
+        runs = list(enumerate(regions)) or [(None, space)]
         for r_idx, box in runs:
             seeds = _seed_rows(archive, box, pop)
             first = len(archive) + pop - len(seeds)  # archive length at g00

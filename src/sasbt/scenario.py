@@ -22,7 +22,8 @@ sample by sample and returns the full trace for export; with `fitness` it is
 the reference oracle that `evaluate_input` matches bit for bit.  Both
 validate a `SimConfig` and build its time grid once per config object (a
 call without one uses the default instance of the signature); each input
-is still checked against the bounds on every call.
+is still checked against the bounds on every call.  `search.grid_steps`
+checks the grid, as it does a `falsify.SignalParam`'s sample period.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .search import MAX_SAMPLES, SearchSpace
+from .search import SearchSpace, grid_steps
 
 DEFAULT_INPUT_BOUNDS = ((1.0, 12.0), (0.5, 3.0), (0.0, 8.0))
 INPUT_NAMES = ("v0c", "v0p", "t_wait")
@@ -74,16 +75,15 @@ class SimConfig:
     input_bounds: tuple[tuple[float, float], ...] = DEFAULT_INPUT_BOUNDS
 
     def validate(self) -> None:
-        for name in ("dt", "horizon"):  # a NaN grid fails the multiple-of-dt check
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         for name in ("ego_width", "comfort_decel", "max_decel", "sensor_range",
                      "corridor_half_width"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("spot_x", "theta1", "theta2", "ped_start"):
-            if np.isnan(getattr(self, name)).any():
+        for name in ("spot_x", "theta1", "theta2"):
+            if np.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must not be NaN")
+        if not np.isfinite(self.ped_start).all():
+            raise ValueError(f"ped_start must not be NaN or infinite, got {self.ped_start}")
         if len(self.input_bounds) != len(INPUT_NAMES):
             raise ValueError(f"input_bounds needs {len(INPUT_NAMES)} (low, high) pairs, "
                              f"got {len(self.input_bounds)}")
@@ -98,13 +98,7 @@ class SimConfig:
             raise ValueError("sensor_half_angle must lie in (0, pi/2)")
         if not self.brake_margin >= 0:  # NaN fails too
             raise ValueError(f"brake_margin must be >= 0, got {self.brake_margin}")
-        steps = self.horizon / self.dt
-        n_steps = round(steps) if math.isfinite(steps) else 0
-        if n_steps < 1 or abs(n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(f"horizon {self.horizon} is not a multiple of dt {self.dt}")
-        if n_steps + 1 > MAX_SAMPLES:
-            raise ValueError(f"horizon {self.horizon} / dt {self.dt} asks for more "
-                             f"than {MAX_SAMPLES} samples")
+        grid_steps(self.horizon, self.dt, "dt")
 
     @cached_property
     def _grid(self) -> tuple[int, np.ndarray, float]:
@@ -112,7 +106,7 @@ class SimConfig:
         tangent of the sensor half-angle.  A failed validation is not cached,
         so an invalid config raises on every use."""
         self.validate()
-        n_steps = round(self.horizon / self.dt)
+        n_steps = grid_steps(self.horizon, self.dt, "dt")
         t = np.arange(n_steps + 1) * self.dt
         t.flags.writeable = False
         return n_steps, t, math.tan(self.sensor_half_angle)

@@ -18,6 +18,7 @@ quantity negate it in their evaluator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +28,23 @@ Evaluator = Callable[[np.ndarray], tuple[np.ndarray, bool]]
 """Maps a genome to (objective vector, criticality flag). Must be pure."""
 
 MAX_SAMPLES = 10 ** 7  # largest time grid a `SimConfig` or `SignalParam` may ask for
+
+
+def grid_steps(horizon: float, step: float, name: str) -> int:
+    """Steps of `step` in `horizon`, the time-grid rule of `SimConfig` ("dt")
+    and `SignalParam` ("period"): both > 0 (a NaN fails the multiple check),
+    a whole number >= 1 of steps to 1e-9 * max(1, horizon), <= MAX_SAMPLES samples."""
+    for key, value in ((name, step), ("horizon", horizon)):
+        if value <= 0:
+            raise ValueError(f"{key} must be positive")
+    steps = horizon / step
+    n = round(steps) if math.isfinite(steps) else 0
+    if n < 1 or abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(f"horizon {horizon} is not a multiple of {name} {step}")
+    if n + 1 > MAX_SAMPLES:
+        raise ValueError(f"horizon {horizon} / {name} {step} asks for more "
+                         f"than {MAX_SAMPLES} samples")
+    return n
 
 
 # ---------- search space ----------

@@ -167,8 +167,11 @@ def test_region_contains_and_space():
                             upper=np.array([1.0, 2.0]), n_critical=3, n_total=4)
     assert region.contains(np.array([0.5, 1.5]))
     assert not region.contains(np.array([0.5, 2.5]))
-    sub = region.as_space()
-    np.testing.assert_array_equal(sub.lower, [0.0, 1.0])
+    assert isinstance(region, SearchSpace)
+    np.testing.assert_array_equal(region.lower, [0.0, 1.0])
+    with pytest.raises(ValueError, match="empty range in dimension 1"):
+        CriticalRegion(lower=np.array([0.0, 1.0]), upper=np.array([1.0, 1.0]),
+                       n_critical=3, n_total=4)
 
 
 def _seed_reference(archive, region, limit):

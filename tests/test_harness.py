@@ -788,7 +788,8 @@ def test_cli_config_errors_exit_2(tmp_path: Path, capsys) -> None:
             *(("compare", f"sim.{name} = nan\n", [], f"{name} must not be NaN")
               for name in ("spot_x", "theta1", "theta2")),
             ("compare", "sim.brake_margin = nan\n", [], "brake_margin must be >= 0, got nan"),
-            ("compare", "sim.ped_start = 23, nan\n", [], "ped_start must not be NaN"),
+            *(("compare", f"sim.ped_start = {xy}\n", [], "ped_start must not be NaN")
+              for xy in ("23, nan", "inf, 4.6", "23, inf", "23, -inf")),
             ("compare", "distinct.epsilon = nan\n", [], "epsilon must be >= 0, got nan"),
             ("compare", small + "sim.theta1 = nan\n", [], "theta1 must not be NaN"),
             # tree settings fail at load, not after the initial sample is simulated

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sasbt.falsify import SignalParam
 from sasbt.scenario import (DEFAULT_INPUT_BOUNDS, FitnessVector, ScenarioInput,
                             SimConfig, SimulationTrace, _segment_crosses_rect,
                             bumper_distances, evaluate_input, fitness,
@@ -74,8 +75,25 @@ def test_config_validation():
                  "corridor_half_width", "brake_margin", "spot_x", "theta1", "theta2"):
         with pytest.raises(ValueError, match=name):
             replace(SimConfig(), **{name: math.nan}).validate()
-    with pytest.raises(ValueError, match="ped_start must not be NaN"):
-        replace(SimConfig(), ped_start=(23.0, math.nan)).validate()
+    for ped_start in ((23.0, math.nan), (math.inf, 4.6), (23.0, math.inf), (23.0, -math.inf)):
+        with pytest.raises(ValueError, match="ped_start must not be NaN"):
+            replace(SimConfig(), ped_start=ped_start).validate()
+
+
+@pytest.mark.parametrize("horizon, step, valid", [
+    (10, 0.01, True), (0.3, 0.1, True), (10.005, 0.01, False), (1e-10, 1.0, False),
+    (math.inf, 1, False), (math.nan, 1, False), (10, 1e-9, False)])
+def test_sim_and_signal_grids_follow_one_rule(horizon, step, valid):
+    # `sim.dt` and `signal.period` accept and reject the same grids, in the same words
+    errors = []
+    for check in (SimConfig(horizon=horizon, dt=step).validate,
+                  SignalParam(horizon=horizon, period=step).validate):
+        try:
+            check()
+        except ValueError as exc:
+            errors.append(str(exc))
+    assert len(errors) == (0 if valid else 2)
+    assert errors[:1] == [e.replace("period", "dt") for e in errors[1:]]
 
 
 def test_every_config_field_is_read_by_the_simulator():
