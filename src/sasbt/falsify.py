@@ -5,9 +5,10 @@ everything observed so far, hunts for a requirement violation on the
 surrogate by simulated annealing, then confirms the single best candidate
 on the real system.  Only real simulations count against the falsification
 budget; a trial succeeds the moment a real run has negative robustness.
-Every round, initial sample or surrogate candidate, ends in the same real
-step.  `check_trial` and `check_surrogate`, which the config layer calls
-too, check every input, the ARX orders included, before the first.
+Every round, initial sample, surrogate candidate or random draw, ends in
+the same real step (`_trial`).  `check_trial` and `check_surrogate`, which
+the config layer calls too, check every input, the ARX orders included,
+before the first.
 
 The surrogate pays off only if a surrogate call is far cheaper than a real
 one, so nothing fixed is rebuilt per call: each trial compiles the
@@ -321,6 +322,28 @@ class FalsifyResult:
     real_simulations = property(lambda self: len(self.rounds))
 
 
+def _trial(sut, requirement: Formula, signal: SignalParam, real_budget: int,
+           propose: Callable[..., tuple]) -> FalsifyResult:
+    """Both methods' one trial loop: `propose(k, us, ys, best_theta)`, given the
+    real inputs, outputs and best theta so far, returns round k's theta and its
+    `RoundLog` diagnostics; then the real step, logged, until robustness < 0."""
+    us, ys, rounds = [], [], []  # real inputs, real outputs, one RoundLog each
+    best_rho, best_theta = np.inf, None
+    for k in range(real_budget):
+        theta, *diagnostics = propose(k, us, ys, best_theta)
+        u = build_signal(signal, theta)
+        y = sut(u)
+        rho = robustness(requirement, y, signal.period)
+        us.append(u)
+        ys.append(y)
+        rounds.append(RoundLog(*diagnostics, rho))
+        if rho < best_rho:
+            best_rho, best_theta = rho, theta
+        if rho < 0.0:
+            return FalsifyResult(rounds, theta, u)
+    return FalsifyResult(rounds)
+
+
 def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
             signal: SignalParam, *, real_budget: int = 300,
             surrogate_budget: int = 300, arx: ArxConfig = ArxConfig(),
@@ -357,31 +380,16 @@ def falsify(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
     space = signal.theta_space()
     initial = lhs_sample(space, n_initial, rng)
 
-    us: list[np.ndarray] = []  # the real inputs and outputs the surrogate fits
-    ys: list[np.ndarray] = []
-    rounds: list[RoundLog] = []
-    best_rho, best_theta = np.inf, None
-    while len(rounds) < real_budget:
-        if len(rounds) < n_initial:
-            theta = initial[len(rounds)]
-            diagnostics = (0, None, None)
-        else:
-            model = fit_arx(us, ys, arx)
-            theta, cand_rho, _ = anneal_minimize(
-                surrogate_objective(model, compiled_rho, signal),
-                space, surrogate_budget, rng, init=best_theta)
-            diagnostics = (len(rounds) - n_initial + 1, model.residual_rms, float(cand_rho))
-        u = build_signal(signal, theta)
-        y = sut(u)
-        rho = robustness(requirement, y, signal.period)
-        us.append(u)
-        ys.append(y)
-        rounds.append(RoundLog(*diagnostics, rho))
-        if rho < best_rho:
-            best_rho, best_theta = rho, theta
-        if rho < 0.0:
-            return FalsifyResult(rounds, theta, u)
-    return FalsifyResult(rounds)
+    def propose(k, us, ys, best_theta):
+        if k < n_initial:
+            return initial[k], 0, None, None
+        model = fit_arx(us, ys, arx)
+        theta, cand_rho, _ = anneal_minimize(
+            surrogate_objective(model, compiled_rho, signal),
+            space, surrogate_budget, rng, init=best_theta)
+        return theta, k - n_initial + 1, model.residual_rms, float(cand_rho)
+
+    return _trial(sut, requirement, signal, real_budget, propose)
 
 
 def random_baseline(sut: Callable[[np.ndarray], np.ndarray], requirement: Formula,
@@ -393,16 +401,8 @@ def random_baseline(sut: Callable[[np.ndarray], np.ndarray], requirement: Formul
     check_trial(requirement, signal, real_budget)
     rng = np.random.default_rng(seed)
     space = signal.theta_space()
-    rounds: list[RoundLog] = []
-    for k in range(real_budget):
-        theta = rng.uniform(space.lower, space.upper)
-        u = build_signal(signal, theta)
-        y = sut(u)
-        rho = robustness(requirement, y, signal.period)
-        rounds.append(RoundLog(k, None, None, rho))
-        if rho < 0.0:
-            return FalsifyResult(rounds, theta, u)
-    return FalsifyResult(rounds)
+    return _trial(sut, requirement, signal, real_budget, lambda k, us, ys, best_theta: (
+        rng.uniform(space.lower, space.upper), k, None, None))
 
 
 # ---------- trial statistics ----------

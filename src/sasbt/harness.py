@@ -160,6 +160,12 @@ class ExperimentConfig:
         self.search.validate()
         self.dt.validate()
         self.policy.validate()
+        n_inputs = len(scenario.INPUT_NAMES)
+        if self.policy.min_vars > n_inputs:
+            raise ConfigError(
+                f"distinct.min_vars = {self.policy.min_vars} exceeds the {n_inputs} "
+                f"scenario inputs ({', '.join(scenario.INPUT_NAMES)}): no two "
+                "critical scenarios could count as distinct")
         pop = self.search.population
         if self.budget < 2 * pop:
             raise ConfigError(f"budget {self.budget} below two populations of {pop}")
@@ -270,12 +276,12 @@ def _compare_aggregate(tagged: list[tuple[str, dict]], quarter: int) -> dict:
 def _compare_outputs(head: dict, runs: list[dict]) -> dict[str, str]:
     """Text of snapshots.csv, plots.csv and report.json.
 
-    `head` is report.json without its runs and aggregate.  Each run carries
-    its algorithm, repetition, archive and checkpoints, the (stage,
-    evaluations) pairs whose archive prefixes are scored; the last one must
-    cover the whole archive, since its row is the run's final summary.
-    Every prefix of every run is scored against one reference built from
-    all archives.
+    `head` holds report.json's other fields (a runs or aggregate it holds
+    is replaced).  Each run carries its algorithm, repetition, archive and
+    checkpoints, the (stage, evaluations) pairs whose archive prefixes are
+    scored; the last one must cover the whole archive, since its row is the
+    run's final summary.  Every prefix of every run is scored against one
+    reference built from all archives.
     """
     policy = indicators.DistinctnessPolicy(**head["distinctness"])
     quarter = head["budget"] // 4
@@ -318,8 +324,8 @@ def _compare_outputs(head: dict, runs: list[dict]) -> dict[str, str]:
 def _falsify_outputs(head: dict, results: list[FalsifyResult]) -> dict[str, str]:
     """Text of each trial_NN.jsonl round log, stats.csv and report.json.
 
-    `head` is report.json without its trials and stats; trial i of
-    `results` ran with seed base_seed + i.
+    `head` holds report.json's other fields (a trials or stats it holds is
+    replaced); trial i of `results` ran with seed base_seed + i.
     """
     texts = {f"trial_{i:02d}.jsonl": "".join(
         json.dumps(asdict(r), sort_keys=True) + "\n" for r in res.rounds)
@@ -569,19 +575,20 @@ def replay(out_dir, *, quiet: bool = False) -> bool:
         raise ConfigError(f"no report.json under {out_dir}")
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
+    if not isinstance(report, dict):
+        raise ConfigError(f"{report_path} holds a {type(report).__name__}, "
+                          "not a report object: not replayable")
     kind = report.get("kind")
     if kind not in ("compare", "falsify"):
         raise ConfigError(f"report kind {kind!r} not replayable")
     try:
-        head = {k: v for k, v in report.items()
-                if k not in ("runs", "aggregate", "trials", "stats")}
         if kind == "compare":
-            expected = _compare_outputs(head, _compare_inputs(out, head))
+            expected = _compare_outputs(report, _compare_inputs(out, report))
         else:
-            expected = _falsify_outputs(head, [FalsifyResult([
+            expected = _falsify_outputs(report, [FalsifyResult([
                 RoundLog(**json.loads(line)) for line in (out / f"trial_{i:02d}.jsonl")
                 .read_text(encoding="utf-8").splitlines() if line.strip()])
-                for i in range(head["repetitions"])])
+                for i in range(report["repetitions"])])
     except (KeyError, TypeError, ValueError) as exc:
         if not quiet:
             print(f"replay cannot re-render the artifacts: {exc!r}")

@@ -196,10 +196,19 @@ class EvaluationArchive:
 
     @classmethod
     def from_csv(cls, path) -> "EvaluationArchive":
+        """Read a `to_csv` file; a row whose field count differs from the
+        header's (a truncated file) raises `ValueError`."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            rows = [parts for parts in (line.strip().split(",") for line in fh)
-                    if parts != [""]]
+            rows = []
+            for lineno, line in enumerate(fh, 2):
+                parts = line.strip().split(",")
+                if parts == [""]:
+                    continue
+                if len(parts) != len(header):
+                    raise ValueError(f"{path} line {lineno}: {len(parts)} fields, "
+                                     f"the header has {len(header)}")
+                rows.append(parts)
 
         def floats(prefix: str) -> np.ndarray:
             cols = [i for i, c in enumerate(header) if c.startswith(prefix)]

@@ -216,6 +216,12 @@ def test_bad_values_are_rejected() -> None:
         ExperimentConfig.from_text("experiment.kind = race\nsim.dt = 0.01\n")
     with pytest.raises(ConfigError, match="repetitions"):
         ExperimentConfig.from_text("experiment.repetitions = 0\n")
+    # no two rows can differ in more variables than the 3 scenario inputs
+    for mode in ("thresholded", "any-difference"):
+        with pytest.raises(ConfigError, match="min_vars = 4 exceeds the 3 scenario inputs"):
+            ExperimentConfig.from_text(f"distinct.mode = {mode}\ndistinct.min_vars = 4\n")
+    assert ExperimentConfig.from_text(
+        "distinct.mode = thresholded\ndistinct.min_vars = 3\n").policy.min_vars == 3
 
 
 def test_falsify_config_requires_requirement_and_known_system() -> None:
@@ -539,14 +545,32 @@ def test_replay_detects_tampered_aggregate(compare_run: tuple[Path, dict],
     assert not replay(copy, quiet=True)
 
 
-def test_replay_needs_a_report(tmp_path: Path) -> None:
+def test_replay_needs_a_report(tmp_path: Path, capsys) -> None:
     with pytest.raises(ConfigError, match="no report.json"):
         replay(tmp_path / "nowhere")
     bad = tmp_path / "bad"
     bad.mkdir()
-    (bad / "report.json").write_text('{"kind": "other"}')
-    with pytest.raises(ConfigError, match="not replayable"):
-        replay(bad)
+    for text in ('{"kind": "other"}', "[1, 2]"):  # an unknown kind, or no object at all
+        (bad / "report.json").write_text(text)
+        with pytest.raises(ConfigError, match="not replayable"):
+            replay(bad)
+        assert cli.main(["replay", str(bad)]) == cli.EXIT_CONFIG
+        assert "not replayable" in capsys.readouterr().err
+
+
+def test_a_truncated_archive_row_is_a_runtime_error(compare_run: tuple[Path, dict],
+                                                    tmp_path: Path, capsys) -> None:
+    out, _ = compare_run
+    copy = _copy_run(out, tmp_path)
+    archive = copy / "archive_nsga2-r00.csv"
+    text = archive.read_text()
+    archive.write_text(text[:text.rfind(",")])  # the last row loses its critical flag
+    with pytest.raises(ValueError, match="line 81: .* fields, the header has"):
+        EvaluationArchive.from_csv(archive)
+    assert not replay(copy, quiet=True)
+    assert cli.main(["replay", str(copy)]) == cli.EXIT_RUNTIME
+    assert cli.main(["indicators", str(archive)]) == cli.EXIT_RUNTIME
+    assert "line 81" in capsys.readouterr().err
 
 
 def test_invalid_config_fails_before_any_output(tmp_path: Path) -> None:
@@ -791,6 +815,8 @@ def test_cli_config_errors_exit_2(tmp_path: Path, capsys) -> None:
             *(("compare", f"sim.ped_start = {xy}\n", [], "ped_start must not be NaN")
               for xy in ("23, nan", "inf, 4.6", "23, inf", "23, -inf")),
             ("compare", "distinct.epsilon = nan\n", [], "epsilon must be >= 0, got nan"),
+            ("compare", small + "distinct.mode = thresholded\ndistinct.min_vars = 5\n", [],
+             "distinct.min_vars = 5 exceeds the 3 scenario inputs"),
             ("compare", small + "sim.theta1 = nan\n", [], "theta1 must not be NaN"),
             # tree settings fail at load, not after the initial sample is simulated
             ("compare", "dt.max_depth = -1\n", [], "max_depth must be >= 0"),
