@@ -175,8 +175,11 @@ def anneal_minimize(fun: Callable[[np.ndarray], np.ndarray], space: SearchSpace,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    x = space.clip(np.asarray(init, dtype=float)) if init is not None \
-        else rng.uniform(space.lower, space.upper)
+    if init is not None:
+        x = space.clip(np.asarray(init, dtype=float))
+    else:
+        space.check_finite()
+        x = rng.uniform(space.lower, space.upper)
     fx = fun(x[None]).tolist()[0]
     evals = 1
     best_x, best_f = x, fx
@@ -230,6 +233,7 @@ def random_minimize(fun: Callable[[np.ndarray], float], space: SearchSpace,
     """Uniform random search baseline with the same interface."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    space.check_finite()
     best_x, best_f = None, np.inf
     for _ in range(budget):
         x = rng.uniform(space.lower, space.upper)

@@ -61,10 +61,14 @@ def hypervolume(front: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _hv2(pts: np.ndarray, ref: np.ndarray) -> float:
-    # np.unique returns the distinct rows sorted by f1, then f2; of a filtered
-    # front that makes f2 strictly descending, and each point owns the strip
-    # up to the next point's f1
-    pts = np.unique(pts, axis=0)
+    # the distinct rows sorted by f1, then f2 (np.unique(pts, axis=0)'s rows,
+    # without its structured-dtype sort); of a filtered front that makes f2
+    # strictly descending, and each point owns the strip up to the next
+    # point's f1
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    distinct = np.ones(len(pts), dtype=bool)
+    distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[distinct]
     xs = np.append(pts[1:, 0], ref[0])
     return float(np.sum((xs - pts[:, 0]) * (ref[1] - pts[:, 1])))
 

@@ -17,9 +17,13 @@ minimum.  A scenario is critical when f1 <= theta1 and f2 >= theta2.
 
 Two paths compute that fitness.  `evaluate_input` is the exact
 fitness-only path the searches call: it integrates the run in segments of
-constant deceleration and records no trace.  `simulate` steps the Euler loop
-sample by sample and returns the full trace for export; with `fitness` it is
-the reference oracle that `evaluate_input` matches bit for bit.  Both
+constant deceleration, in place in two horizon-long arrays, and looks for
+a segment's end only on the steps that can end it (a bisection for a
+cruise, the steps before the ego stops for braking, the pedestrian's
+corridor steps for the emergency latch); it records no trace.  `simulate`
+steps the Euler loop sample by sample and returns the full trace for
+export; with `fitness` it is the reference oracle that `evaluate_input`
+matches bit for bit.  Both
 validate a `SimConfig` and build its time grid once per config object (a
 call without one uses the default instance of the signature); each input
 is still checked against the bounds on every call.  `search.grid_steps`
@@ -50,7 +54,7 @@ class ScenarioInput:
 
     @classmethod
     def from_array(cls, genome) -> "ScenarioInput":
-        v0c, v0p, t_wait = (float(v) for v in genome)
+        v0c, v0p, t_wait = np.asarray(genome, dtype=float).tolist()
         return cls(v0c, v0p, t_wait)
 
 
@@ -274,7 +278,7 @@ def fitness(trace: SimulationTrace, cfg: SimConfig = SimConfig()) -> FitnessVect
 
 
 def _grade(d: np.ndarray, ego_v: np.ndarray, cfg: SimConfig) -> FitnessVector:
-    i = int(np.argmin(d))  # argmin returns the first occurrence
+    i = int(d.argmin())  # argmin returns the first occurrence
     f1 = float(d[i])
     f2 = float(ego_v[i])
     return FitnessVector(f1=f1, f2=f2, critical=f1 <= cfg.theta1 and f2 >= cfg.theta2)
@@ -285,83 +289,107 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessV
 
     Only the ego x, ego speed and pedestrian y samples are computed.  The
     run splits into segments of constant deceleration (cruise, comfort or
-    emergency); each is integrated with `np.subtract.accumulate` /
-    `np.add.accumulate`, which add strictly in sequence and so reproduce
-    the Euler loop of `simulate` bit for bit.  A segment ends at the first
+    emergency).  Each is integrated in place into `ego_x[k:]` / `ego_v[k:]`
+    with `np.subtract.accumulate` / `np.add.accumulate`, which add strictly
+    in sequence and so reproduce the Euler loop of `simulate` bit for bit;
+    the next segment overwrites from the cut.  A segment ends at the first
     later step whose deceleration choice differs: the comfort test flips,
     or a pedestrian inside the corridor and the braking envelope is
-    detected.  `_detects` runs only on such envelope steps, in order, and
-    never after the emergency latch.  A cruise segment (no deceleration at a
-    positive speed) keeps v exactly, so its speeds are a constant array and
-    its thresholds scalars.
+    detected.
+
+    - A cruise segment (no deceleration at a positive speed) keeps v
+      exactly.  Its x never decreases and fl(spot_x - x) is monotone, so
+      its comfort test flips at most once, found by bisection.
+    - Once a braking segment reaches speed 0.0, x + 0.0 * dt = x and
+      max(0, 0 - a dt) = 0 whatever a is: no decision from that step on
+      changes a sample, so flips and the envelope are searched only on the
+      steps before it, and a stopped ego runs to the horizon.
+    - The corridor is the sorted array of steps with |ped_y| inside it; a
+      segment scores the envelope only on its window of those steps.
+      `_detects` runs only on envelope steps, in order, and never after
+      the emergency latch.
 
     Raises:
         ValueError: as `simulate`.
     """
     n, t, tan_half = _checked_grid(inp, cfg)
     dt = cfg.dt
+    spot_x, comfort_decel = cfg.spot_x, cfg.comfort_decel
     px0, py0 = cfg.ped_start
-    ped_y = np.where(t > inp.t_wait, py0 - inp.v0p * (t - inp.t_wait), py0)
-    in_corridor = np.abs(ped_y) <= cfg.corridor_half_width
+    ped_y = np.empty(n + 1)
+    ped_y.fill(py0)
+    walk = int(t.searchsorted(inp.t_wait, "right"))  # the first sample with t > t_wait
+    np.subtract(py0, inp.v0p * (t[walk:] - inp.t_wait), out=ped_y[walk:])
+    abs_py = np.abs(ped_y)
+    corridor = (abs_py <= cfg.corridor_half_width).nonzero()[0]
     ego_x = np.empty(n + 1)
     ego_v = np.empty(n + 1)
 
     k, x, v, emergency = 0, 0.0, inp.v0c, False
     while True:
         # the deceleration for [t_k, t_k + dt), chosen exactly as in simulate
-        if (not emergency and in_corridor[k]
+        if (not emergency and abs_py[k] <= cfg.corridor_half_width
                 and 0.0 <= px0 - x <= v * v / (2.0 * cfg.max_decel) + cfg.brake_margin
                 and _detects(x, 0.0, px0, float(ped_y[k]), cfg, tan_half)):
             emergency = True
         if emergency:
             a = cfg.max_decel
         else:
-            comfort = cfg.spot_x - x <= v * v / (2.0 * cfg.comfort_decel)
-            a = cfg.comfort_decel if comfort else 0.0
+            comfort = spot_x - x <= v * v / (2.0 * comfort_decel)
+            a = comfort_decel if comfort else 0.0
         # hold it to the horizon: v_{j+1} = max(0, v_j - a dt), x_{j+1} = x_j + v_j dt
+        xs, vs = ego_x[k:], ego_v[k:]
         cruise = a == 0.0 and v > 0.0  # v - 0.0 == v: the speed stays v
-        # np.empty + fill: np.full's values without its Python wrapper's cost
         if cruise:
-            vs = np.empty(n - k + 1)
             vs.fill(v)
-            xs = np.empty(n - k + 1)
             xs.fill(v * dt)
         else:
-            steps = np.empty(n - k + 1)
-            steps.fill(a * dt)
-            steps[0] = v
-            raw = np.subtract.accumulate(steps)
-            vs = np.where(raw > 0.0, raw, 0.0)  # max(0.0, .) maps -0.0 to 0.0 too
+            vs.fill(a * dt)
+            vs[0] = v
+            np.subtract.accumulate(vs, out=vs)
+            np.copyto(vs, 0.0, where=vs <= 0.0)  # max(0.0, .) maps -0.0 to 0.0 too
             vs[0] = v  # the segment's first sample is recorded unclamped
-            xs = np.empty_like(vs)
             np.multiply(vs[:-1], dt, out=xs[1:])
         xs[0] = x
         np.add.accumulate(xs, out=xs)
         cut = n - k  # segment length in steps; the horizon by default
-        if not emergency and cut > 1:
-            xj = xs[1:-1]  # later steps that choose a deceleration
-            vj = v if cruise else vs[1:-1]
-            v_sq = vj * vj
-            flips = ((cfg.spot_x - xj <= v_sq / (2.0 * cfg.comfort_decel))
-                     != comfort).nonzero()[0]
-            if flips.size:
-                cut = int(flips[0]) + 1
-            gap = px0 - xj[:cut - 1]
-            envelope = (in_corridor[k + 1:k + cut] & (gap >= 0.0)
-                        & (gap <= (v_sq if cruise else v_sq[:cut - 1]) / (2.0 * cfg.max_decel)
-                           + cfg.brake_margin))
-            for j in envelope.nonzero()[0] + 1:
-                if _detects(float(xs[j]), 0.0, px0, float(ped_y[k + j]), cfg, tan_half):
-                    cut = int(j)
-                    break
-        ego_x[k:k + cut + 1] = xs[:cut + 1]
-        ego_v[k:k + cut + 1] = vs[:cut + 1]
+        if not emergency:
+            if cruise:  # the first later step with spot_x - x <= v^2 / (2 a_c)
+                reach, lo = v * v / (2.0 * comfort_decel), 1
+                while lo < cut:
+                    mid = (lo + cut) // 2
+                    if spot_x - xs[mid] <= reach:
+                        cut = mid
+                    else:
+                        lo = mid + 1
+                end = cut
+            else:
+                # speeds never rise again, so the nonzero ones come first (a
+                # negative v0c is one nonzero sample); no decision from the
+                # first 0.0 speed on changes a sample
+                end = min(cut, int(np.count_nonzero(vs)))
+                vj = vs[1:end]
+                flips = ((spot_x - xs[1:end] <= vj * vj / (2.0 * comfort_decel))
+                         != comfort).nonzero()[0]
+                if flips.size:
+                    cut = end = int(flips[0]) + 1
+            lo, hi = corridor.searchsorted((k + 1, k + end))  # the steps k+1 .. k+end-1
+            if lo < hi:
+                steps = corridor[lo:hi]
+                gap = px0 - ego_x[steps]
+                v_sq = v * v if cruise else np.square(ego_v[steps])
+                envelope = (gap >= 0.0) & (gap <= v_sq / (2.0 * cfg.max_decel)
+                                           + cfg.brake_margin)
+                for j in steps[envelope].tolist():
+                    if _detects(float(ego_x[j]), 0.0, px0, float(ped_y[j]), cfg, tan_half):
+                        cut = j - k
+                        break
         k += cut
         if k == n:
             break
-        x, v = float(xs[cut]), float(vs[cut])
+        x, v = float(ego_x[k]), float(ego_v[k])
 
-    d = np.hypot(px0 - ego_x, np.maximum(np.abs(ped_y) - cfg.ego_width / 2.0, 0.0))
+    d = np.hypot(px0 - ego_x, np.maximum(abs_py - cfg.ego_width / 2.0, 0.0))
     return _grade(d, ego_v, cfg)
 
 

@@ -28,6 +28,7 @@ Evaluator = Callable[[np.ndarray], tuple[np.ndarray, bool]]
 """Maps a genome to (objective vector, criticality flag). Must be pure."""
 
 MAX_SAMPLES = 10 ** 7  # largest time grid a `SimConfig` or `SignalParam` may ask for
+MASK_BLOCK = 64  # rows `non_dominated_mask` compares with all rows at once (m != 2)
 
 
 def grid_steps(horizon: float, step: float, name: str) -> int:
@@ -75,6 +76,14 @@ class SearchSpace:
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+
+    def check_finite(self) -> None:
+        """Raise unless every dimension is bounded, as sampling the box needs."""
+        finite = np.isfinite(self.lower) & np.isfinite(self.upper)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"cannot sample the unbounded dimension {bad}: "
+                             f"[{self.lower[bad]}, {self.upper[bad]}]")
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         # np.clip's bits (signed zeros, NaN) without its Python wrapper's cost
@@ -239,9 +248,13 @@ def lhs_sample(space: SearchSpace, k: int,
 
     Returns:
         (k, dim) array of samples.
+
+    Raises:
+        ValueError: k < 1, or a dimension with an infinite bound.
     """
     if k < 1:
         raise ValueError(f"sample count must be >= 1, got {k}")
+    space.check_finite()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     out = np.empty((k, space.dim))
     for d in range(space.dim):
@@ -276,12 +289,12 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     if m == 2:
         return _non_dominated_mask_2d(pts)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        le = np.all(pts <= pts[i], axis=1)
-        lt = np.any(pts < pts[i], axis=1)
-        if np.any(le & lt):
-            mask[i] = False
+    # a block of rows against every row at once: (B, N, m) comparisons
+    mask = np.empty(n, dtype=bool)
+    for start in range(0, n, MASK_BLOCK):
+        block = pts[start:start + MASK_BLOCK, None, :]
+        dominated = (pts <= block).all(axis=2) & (pts < block).any(axis=2)
+        mask[start:start + MASK_BLOCK] = ~dominated.any(axis=1)
     return mask
 
 

@@ -299,6 +299,17 @@ def test_optimizers_reject_non_positive_budget() -> None:
             opt(quadratic, space, 0, np.random.default_rng(0))
 
 
+def test_optimizers_reject_drawing_from_an_unbounded_box() -> None:
+    space = SearchSpace([0.0, 0.0], [1.0, np.inf])
+    for opt in (anneal_minimize, random_minimize):
+        with pytest.raises(ValueError, match="dimension 1"):
+            opt(quadratic, space, 5, np.random.default_rng(0))
+    # a warm start draws nothing
+    x, _, _ = anneal_minimize(quadratic, space, 1, np.random.default_rng(0),
+                              init=np.array([0.5, 3.0]))
+    assert x.tolist() == [0.5, 3.0]
+
+
 def test_optimizers_are_deterministic_per_seed() -> None:
     space = SearchSpace([-2.0, -2.0], [2.0, 2.0])
     for opt in (anneal_minimize, random_minimize):

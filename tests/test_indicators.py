@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sasbt.indicators import (DistinctnessPolicy, Reference, build_reference,
+from sasbt.indicators import (DistinctnessPolicy, Reference, _hv2, build_reference,
                               distinct_critical, generational_distance,
                               hypervolume, non_dominated_filter,
                               non_dominated_mask, normalize, prefix_indicators,
@@ -78,12 +78,23 @@ SPECIAL = st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), m=st.sampled_from([2, 3]))
+@given(data=st.data(), m=st.sampled_from([2, 3, 4]))
 def test_mask_and_sort_match_oracles_on_special_values(data, m: int) -> None:
     rows = data.draw(st.lists(st.lists(SPECIAL, min_size=m, max_size=m), max_size=12))
     pts = np.array(rows, dtype=float).reshape(len(rows), m)
     np.testing.assert_array_equal(non_dominated_mask(pts), oracle_mask(pts))
     assert [sorted(f) for f in non_dominated_sort(pts)] == brute_force_fronts(pts)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_blocked_mask_matches_oracles_across_block_edges(n: int) -> None:
+    # m != 2 compares MASK_BLOCK rows with all rows at once
+    rng = np.random.default_rng(n)
+    for m in (1, 3, 4):
+        pts = rng.integers(0, 6, size=(n, m)).astype(float)
+        pts[rng.random((n, m)) < 0.05] = -0.0
+        np.testing.assert_array_equal(non_dominated_mask(pts), oracle_mask(pts))
+        assert [sorted(f) for f in non_dominated_sort(pts)] == brute_force_fronts(pts)
 
 
 def test_filter_keeps_duplicates_and_order():
@@ -247,6 +258,30 @@ def test_hv_bits_ignore_copies_zero_signs_and_row_order():
         ref = np.full(m, 1.01)
         assert (np.float64(hypervolume(copies[rng.permutation(len(copies))], ref)).tobytes()
                 == np.float64(hypervolume(front, ref)).tobytes()), f"trial {trial}"
+
+
+def unique_hv2(pts: np.ndarray, ref: np.ndarray) -> float:
+    """The 2-D sweep over np.unique(pts, axis=0), the dedup `_hv2` replaced."""
+    pts = np.unique(pts, axis=0)
+    xs = np.append(pts[1:, 0], ref[0])
+    return float(np.sum((xs - pts[:, 0]) * (ref[1] - pts[:, 1])))
+
+
+HV_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -np.inf])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(HV_VALUES, HV_VALUES), min_size=1, max_size=12),
+       ref=st.tuples(st.sampled_from([1.0, 2.0, np.inf]), st.sampled_from([1.0, 2.0, np.inf])))
+def test_hv2_dedup_matches_np_unique(rows, ref) -> None:
+    # _hv2 sees filtered fronts; a filtered front keeps every copy of a point
+    # (duplicates, and rows equal up to the signs of their zeros)
+    pts = np.array(rows + rows[::2])
+    front = pts[non_dominated_mask(pts)]
+    ref = np.array(ref)
+    with np.errstate(invalid="ignore"):  # an infinite strip times a zero one
+        got, expected = _hv2(front, ref), unique_hv2(front, ref)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 # ---------- normalization ----------

@@ -452,6 +452,85 @@ def test_evaluate_input_keeps_signed_zero_speed():
         assert_matches_oracle(inp, cfg)
 
 
+# A pedestrian the ego sees from the start (the occluder is out of the way),
+# who walks into the corridor (|y| <= 1) 1.2 s after t_wait; comfort braking
+# (3 m/s^2) is steeper than emergency braking (1 m/s^2), so a latch while
+# moving changes the speeds.
+SEEN = wide_bounds(spot_x=20.0, occluder=(900.0, 1.0, 901.0, 2.0), ped_start=(23.0, 2.2),
+                   comfort_decel=3.0, max_decel=1.0, brake_margin=5.0)
+SEEN_STILL = simulate(ScenarioInput(6.0, 1.0, 50.0), SEEN)  # never in the corridor
+SEEN_CUT = int(np.flatnonzero(np.diff(SEEN_STILL.ego_v) < 0.0)[0])  # cruise -> comfort
+SEEN_STOP = int(np.flatnonzero(SEEN_STILL.ego_v == 0.0)[0])  # the first speed of 0.0
+
+
+def _entering_at(step: int) -> SimulationTrace:
+    inp = ScenarioInput(6.0, 1.0, (step - 0.5) * SEEN.dt - 1.2)  # |y| = 0.995 at the step
+    trace = assert_matches_oracle(inp, SEEN)
+    corridor = np.flatnonzero(np.abs(trace.ped_y) <= SEEN.corridor_half_width)
+    assert corridor[0] == step and trace.detected[step]
+    return trace
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 50])
+def test_evaluate_input_comfort_stop_and_a_later_crossing(offset):
+    # the stopped ego runs to the horizon: a latch from the stop on changes
+    # nothing, one on a moving step before it does
+    assert 0 < SEEN_CUT < SEEN_STOP < 900
+    trace = _entering_at(SEEN_STOP + offset)
+    moved = trace.ego_x[-1] != SEEN_STILL.ego_x[-1]
+    assert moved == (offset < 0)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_evaluate_input_pedestrian_enters_the_corridor_at_a_cut(offset):
+    # the cruise segment scores the envelope up to the step before its cut;
+    # the cut step itself is the next segment's first decision
+    trace = _entering_at(SEEN_CUT + offset)
+    expected = ["cruise", "emergency"] if offset < 1 else ["cruise", "comfort", "emergency"]
+    assert _phases(trace, SEEN) == expected
+
+
+@pytest.mark.parametrize("flip", [1, 999])
+def test_evaluate_input_cruise_flip_on_the_first_and_last_step(flip):
+    # the comfort test first holds at step 1 or at step n - 1, the first and
+    # the last decision after k = 0: the speed drops only after that step
+    cfg = wide_bounds(spot_x=1000.0, ped_start=(60.0, 4.6))
+    free = simulate(WAITING, cfg)
+    reach = WAITING.v0c ** 2 / (2.0 * cfg.comfort_decel)
+    spot = float(free.ego_x[flip]) + reach
+    while spot - free.ego_x[flip] > reach:
+        spot = float(np.nextafter(spot, -np.inf))
+    assert spot - free.ego_x[flip - 1] > reach and len(free) == 1001
+    trace = assert_matches_oracle(WAITING, replace(cfg, spot_x=spot))
+    assert (trace.ego_v[:flip + 1] == WAITING.v0c).all()
+    assert trace.ego_v[flip + 1] < WAITING.v0c
+
+
+def test_evaluate_input_segment_with_an_empty_corridor_window():
+    # the pedestrian crosses while the ego is far away; the comfort segment
+    # starts after the pedestrian has left the corridor
+    cfg = SimConfig()
+    inp = ScenarioInput(5.0, 3.0, 0.0)
+    trace = assert_matches_oracle(inp, cfg)
+    corridor = np.flatnonzero(np.abs(trace.ped_y) <= cfg.corridor_half_width)
+    comfort_from = int(np.flatnonzero(np.diff(trace.ego_v) < 0.0)[0])
+    assert corridor.size and corridor[-1] < comfort_from
+    assert _phases(trace, cfg) == ["cruise", "comfort"]
+
+
+def test_from_array_keeps_every_bit():
+    cfg = SimConfig(input_bounds=((0.0, 15.0), (0.1, 3.0), (0.0, 10.0)))
+    for genome in ([6, 1.0, 0.0], np.array([6.0, 1.0, 0.0]), np.array([-0.0, 1.0, -0.0]),
+                   [np.float64(6.0), 1.0, -0.0], np.array([6.0, 1.0, 0.5], dtype=np.float32)):
+        inp = ScenarioInput.from_array(genome)
+        assert all(type(v) is float for v in (inp.v0c, inp.v0p, inp.t_wait))
+        assert struct.pack("<3d", inp.v0c, inp.v0p, inp.t_wait) == \
+            struct.pack("<3d", *(float(v) for v in genome))
+        assert_matches_oracle(inp, cfg)
+    with pytest.raises(ValueError):
+        ScenarioInput.from_array([1.0, 2.0])
+
+
 @pytest.mark.parametrize("inp, cfg, phases", [
     # v0c = 0: a == 0 and v == 0, the general path keeps the ego standing
     (ScenarioInput(0.0, 1.0, 0.0),

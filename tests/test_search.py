@@ -440,6 +440,23 @@ def test_search_space_validation():
     np.testing.assert_array_equal(space.clip(np.array([-1.0])), [0.0])
 
 
+@pytest.mark.parametrize("lower, upper, dim", [
+    ([0.0, 0.0], [1.0, np.inf], 1),
+    ([-np.inf, 0.0], [np.inf, 1.0], 0),
+    ([0.0, 0.0, -np.inf], [1.0, 1.0, 0.0], 2),
+])
+def test_sampling_an_unbounded_box_names_the_dimension(lower, upper, dim):
+    # a SearchSpace may be unbounded (clip works on it), but sampling it
+    # would return inf or NaN rows
+    space = SearchSpace(lower, upper)
+    with pytest.raises(ValueError, match=f"dimension {dim}"):
+        lhs_sample(space, 3, 0)
+    with pytest.raises(ValueError, match=f"dimension {dim}"):
+        space.check_finite()
+    SearchSpace(lower[:dim] + [0.0] + lower[dim + 1:],
+                upper[:dim] + [1.0] + upper[dim + 1:]).check_finite()
+
+
 @pytest.mark.parametrize("n", [1, 5, 17])
 def test_clip_matches_np_clip_bit_for_bit(n):
     # signed zeros, NaN, infinities and values equal to a bound
