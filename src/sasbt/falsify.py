@@ -175,10 +175,10 @@ def anneal_minimize(fun: Callable[[np.ndarray], np.ndarray], space: SearchSpace,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    space.check_finite()  # the start draw and `sigma` both need a bounded box
     if init is not None:
         x = space.clip(np.asarray(init, dtype=float))
     else:
-        space.check_finite()
         x = rng.uniform(space.lower, space.upper)
     fx = fun(x[None]).tolist()[0]
     evals = 1

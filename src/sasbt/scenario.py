@@ -20,7 +20,11 @@ fitness-only path the searches call: it integrates the run in segments of
 constant deceleration, in place in two horizon-long arrays, and looks for
 a segment's end only on the steps that can end it (a bisection for a
 cruise, the steps before the ego stops for braking, the pedestrian's
-corridor steps for the emergency latch); it records no trace.  `simulate`
+corridor steps for the emergency latch); it records no trace.  It first
+integrates only to where an ego still cruising at v0c would be 4 m past
+the pedestrian, and returns there when the ego's x distance to the
+pedestrian beats the minimum so far: x never decreases, so no later
+sample can be closer.  `simulate`
 steps the Euler loop sample by sample and returns the full trace for
 export; with `fitness` it is the reference oracle that `evaluate_input`
 matches bit for bit.  Both
@@ -42,6 +46,8 @@ from .search import SearchSpace, grid_steps
 
 DEFAULT_INPUT_BOUNDS = ((1.0, 12.0), (0.5, 3.0), (0.0, 8.0))
 INPUT_NAMES = ("v0c", "v0p", "t_wait")
+EXIT_PROBE = 4.0  # m past the pedestrian of `evaluate_input`'s exit test
+EXIT_MARGIN = 1e-12  # relative; covers a hypot rounded below its first argument
 
 
 @dataclass(frozen=True)
@@ -308,6 +314,17 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessV
       segment scores the envelope only on its window of those steps.
       `_detects` runs only on envelope steps, in order, and never after
       the emergency latch.
+    - The run first stops at a provisional horizon K, the step where an
+      ego still cruising at v0c would be EXIT_PROBE m past the pedestrian.
+      If |px0 - x_K| exceeds the minimum distance of samples 0..K by the
+      relative EXIT_MARGIN, that minimum is the run's: with v0c > 0 every
+      speed is >= 0, so x never decreases.  Then x_K is past the pedestrian
+      (before it, every earlier sample is at least as far in x), and every
+      later sample is at least |px0 - x_j| >= |px0 - x_K| away, so it is
+      neither closer nor the first sample at the minimum.  Otherwise the
+      run goes on from K to the horizon; a segment restarted at K chooses
+      the deceleration `simulate` chooses there, so the samples are the
+      same.  A v0c <= 0, or a K beyond the horizon, skips the test.
 
     Raises:
         ValueError: as `simulate`.
@@ -325,6 +342,10 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessV
     ego_x = np.empty(n + 1)
     ego_v = np.empty(n + 1)
 
+    # the first exit test: where an ego still cruising at v0c is EXIT_PROBE m
+    # past the pedestrian (never, for a v0c <= 0 that can move x backwards)
+    probe = (px0 + EXIT_PROBE) / inp.v0c / dt if inp.v0c > 0.0 else math.inf
+    stop = max(1, math.ceil(probe)) if probe < n else n
     k, x, v, emergency = 0, 0.0, inp.v0c, False
     while True:
         # the deceleration for [t_k, t_k + dt), chosen exactly as in simulate
@@ -338,7 +359,7 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessV
             comfort = spot_x - x <= v * v / (2.0 * comfort_decel)
             a = comfort_decel if comfort else 0.0
         # hold it to the horizon: v_{j+1} = max(0, v_j - a dt), x_{j+1} = x_j + v_j dt
-        xs, vs = ego_x[k:], ego_v[k:]
+        xs, vs = ego_x[k:stop + 1], ego_v[k:stop + 1]
         cruise = a == 0.0 and v > 0.0  # v - 0.0 == v: the speed stays v
         if cruise:
             vs.fill(v)
@@ -352,7 +373,7 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessV
             np.multiply(vs[:-1], dt, out=xs[1:])
         xs[0] = x
         np.add.accumulate(xs, out=xs)
-        cut = n - k  # segment length in steps; the horizon by default
+        cut = stop - k  # segment length in steps; to `stop` by default
         if not emergency:
             if cruise:  # the first later step with spot_x - x <= v^2 / (2 a_c)
                 reach, lo = v * v / (2.0 * comfort_decel), 1
@@ -385,12 +406,12 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessV
                         cut = j - k
                         break
         k += cut
-        if k == n:
-            break
+        if k == stop:
+            d = np.hypot(px0 - ego_x[:k + 1], np.maximum(abs_py[:k + 1] - cfg.ego_width / 2.0, 0.0))
+            if k == n or abs(px0 - float(ego_x[k])) > d.min() * (1.0 + EXIT_MARGIN):
+                return _grade(d, ego_v[:k + 1], cfg)
+            stop = n  # a later sample may be closer: run on to the horizon
         x, v = float(ego_x[k]), float(ego_v[k])
-
-    d = np.hypot(px0 - ego_x, np.maximum(abs_py - cfg.ego_width / 2.0, 0.0))
-    return _grade(d, ego_v, cfg)
 
 
 def search_space(cfg: SimConfig = SimConfig()) -> SearchSpace:

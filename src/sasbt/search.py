@@ -5,10 +5,13 @@ the decision-tree-guided variant: Latin Hypercube initialization,
 non-dominated sorting, crowding distance, binary tournament selection,
 simulated binary crossover (SBX) and polynomial mutation, plus an append-only
 archive of every real evaluation made during a run.  `non_dominated_mask` is
-the package's one dominance test, and `non_dominated_sort` peels fronts with
-it.  The archive is the only record of an evaluation: a population is a list
-of archive row indices, and a genome or objective vector is read from the
-archive when it is needed.
+the package's one dominance test.  `non_dominated_sort` assigns every front
+of two objectives in one sweep over the (f1, f2) order (Jensen 2003), and
+peels fronts with the mask for any other number; `rank_and_crowding`
+computes the crowding of all fronts at once, through the routine that
+`crowding_distance` runs on one front.  The archive is the only record of
+an evaluation: a population is a list of archive row indices, and a genome
+or objective vector is read from the archive when it is needed.
 
 All randomness flows through a single :class:`numpy.random.Generator` seeded
 from the config, so identical configs reproduce identical archives bit for
@@ -18,6 +21,7 @@ quantity negate it in their evaluator.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -319,7 +323,8 @@ def _non_dominated_mask_2d(pts: np.ndarray) -> np.ndarray:
 
 
 def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
-    """Partition points into fronts F0, F1, ... by repeated non-domination.
+    """Partition points into fronts F0, F1, ... by repeated non-domination:
+    in one sweep for two objectives, otherwise by peeling with the mask.
 
     Args:
         objectives: (N, m) objective matrix, minimization.
@@ -331,6 +336,9 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
     objs = np.asarray(objectives, dtype=float)
     if objs.ndim != 2:
         raise ValueError("objectives must be a 2-D (N, m) array")
+    if objs.shape[1] == 2 and len(objs):
+        rank = _sweep_ranks_2d(objs)
+        return np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
     fronts: list[np.ndarray] = []
     remaining = np.arange(objs.shape[0])
     while remaining.size:
@@ -338,6 +346,49 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
         fronts.append(remaining[mask])
         remaining = remaining[~mask]
     return fronts
+
+
+def _sweep_ranks_2d(pts: np.ndarray) -> np.ndarray:
+    # Jensen's sweep for two objectives: in (f1, f2) order every dominator of
+    # a point comes before it, and a point's front is the first whose
+    # smallest f2 so far (`last`, ascending along the fronts) exceeds its f2;
+    # a front whose smallest f2 ties it holds a smaller f1, so it dominates,
+    # unless that point is an exact duplicate, which joins its twin's front.
+    # A row with a NaN is never dominated and dominates nothing (as in the
+    # mask), so it stays in front 0 and out of the sweep
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    rank = np.zeros(len(pts), dtype=int)
+    last: list[float] = []
+    prev = None
+    for i, f1, f2 in zip(order.tolist(), pts[order, 0].tolist(), pts[order, 1].tolist()):
+        if f1 != f1 or f2 != f2:
+            continue
+        if (f1, f2) != prev:
+            r = bisect.bisect_right(last, f2)
+            last[r:r + 1] = [f2]
+            prev = (f1, f2)
+        rank[i] = r
+    return rank
+
+
+def _crowding(objs: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    # every front at once: per objective, sort by (front, value), ties by
+    # row as a stable per-front sort has them; each front's two ends get
+    # inf, and its interior the neighbours' gap over the front's span
+    n, m = objs.shape
+    dist = np.zeros(n)
+    for j in range(m):
+        order = np.lexsort((objs[:, j], rank))
+        f, r = objs[order, j], rank[order]
+        ends = np.ones(n + 1, dtype=bool)
+        ends[1:-1] = r[1:] != r[:-1]
+        first, last = ends[:-1], ends[1:]
+        front = np.cumsum(first) - 1
+        span = (f[last] - f[first])[front]
+        dist[order[first | last]] = np.inf
+        inner = np.flatnonzero(~(first | last | (span <= 0.0)))
+        dist[order[inner]] += (f[inner + 1] - f[inner - 1]) / span[inner]
+    return dist
 
 
 def crowding_distance(objectives: np.ndarray) -> np.ndarray:
@@ -348,22 +399,7 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     contribute nothing.
     """
     objs = np.asarray(objectives, dtype=float)
-    n, m = objs.shape
-    dist = np.zeros(n)
-    if n <= 2:
-        dist[:] = np.inf
-        return dist
-    for j in range(m):
-        order = np.argsort(objs[:, j], kind="stable")
-        lo, hi = objs[order[0], j], objs[order[-1], j]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        span = hi - lo
-        if span <= 0.0:
-            continue
-        gaps = (objs[order[2:], j] - objs[order[:-2], j]) / span
-        dist[order[1:-1]] += gaps
-    return dist
+    return _crowding(objs, np.zeros(len(objs), dtype=int))
 
 
 def rank_and_crowding(objectives: np.ndarray,
@@ -373,11 +409,9 @@ def rank_and_crowding(objectives: np.ndarray,
     objs = np.asarray(objectives, dtype=float)
     fronts = non_dominated_sort(objs)
     rank = np.empty(len(objs), dtype=int)
-    crowding = np.empty(len(objs))
     for r, front in enumerate(fronts):
         rank[front] = r
-        crowding[front] = crowding_distance(objs[front])
-    return fronts, rank, crowding
+    return fronts, rank, _crowding(objs, rank)
 
 
 def environmental_selection(fronts: list[np.ndarray], crowding: np.ndarray,

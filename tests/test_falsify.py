@@ -304,10 +304,10 @@ def test_optimizers_reject_drawing_from_an_unbounded_box() -> None:
     for opt in (anneal_minimize, random_minimize):
         with pytest.raises(ValueError, match="dimension 1"):
             opt(quadratic, space, 5, np.random.default_rng(0))
-    # a warm start draws nothing
-    x, _, _ = anneal_minimize(quadratic, space, 1, np.random.default_rng(0),
-                              init=np.array([0.5, 3.0]))
-    assert x.tolist() == [0.5, 3.0]
+    # a warm start draws no start point, but its steps scale with the box
+    with pytest.raises(ValueError, match="dimension 1"):
+        anneal_minimize(quadratic, space, 20, np.random.default_rng(0),
+                        init=np.array([0.5, 3.0]))
 
 
 def test_optimizers_are_deterministic_per_seed() -> None:

@@ -10,11 +10,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sasbt.falsify import SignalParam
-from sasbt.scenario import (DEFAULT_INPUT_BOUNDS, FitnessVector, ScenarioInput,
+from sasbt.scenario import (DEFAULT_INPUT_BOUNDS, EXIT_MARGIN, EXIT_PROBE,
+                            FitnessVector, ScenarioInput,
                             SimConfig, SimulationTrace, _segment_crosses_rect,
                             bumper_distances, evaluate_input, fitness,
                             make_evaluator, search_space, simulate,
@@ -358,7 +359,8 @@ def sim_configs(draw) -> SimConfig:
         corridor_half_width=draw(st.floats(0.1, 3.0)),
         sensor_range=draw(st.floats(1.0, 40.0)),
         sensor_half_angle=draw(st.floats(0.05, 1.5)),
-        ped_start=(draw(st.floats(5.0, 40.0)), draw(st.floats(-1.0, 6.0))),
+        # a pedestrian behind x = 0 puts `evaluate_input`'s exit test at step 1
+        ped_start=(draw(st.floats(-10.0, 40.0)), draw(st.floats(-6.0, 6.0))),
         input_bounds=((0.0, 15.0), (0.0, 4.0), (0.0, 10.0)))
 
 
@@ -371,13 +373,69 @@ def _inputs(cfg: SimConfig):
 def test_evaluate_input_matches_simulate_on_random_configs(data):
     cfg = data.draw(sim_configs())
     inp = data.draw(_inputs(cfg))
-    assert_matches_oracle(inp, cfg)
+    trace = assert_matches_oracle(inp, cfg)
+    _exit_case(inp, cfg, trace)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_inputs(SimConfig()))
 def test_evaluate_input_matches_simulate_on_default_config(inp):
     assert_matches_oracle(inp, SimConfig())
+
+
+def _exit_case(inp: ScenarioInput, cfg: SimConfig, trace: SimulationTrace) -> str:
+    """Which way `evaluate_input` ends, read from the oracle's trace: its
+    exit test never runs, returns at the provisional horizon, or fails there
+    and the run extends to the horizon."""
+    n = len(trace) - 1
+    px0 = cfg.ped_start[0]
+    probe = (px0 + EXIT_PROBE) / inp.v0c / cfg.dt if inp.v0c > 0.0 else math.inf
+    if not probe < n:
+        return "never"
+    k = max(1, math.ceil(probe))
+    d = bumper_distances(trace, cfg)
+    closer_later = d[k + 1:].min() < d[:k + 1].min() if k < n else False
+    if abs(px0 - trace.ego_x[k]) > d[:k + 1].min() * (1.0 + EXIT_MARGIN):
+        assert not closer_later  # the exit is exact: no later sample is closer
+        return "exit"
+    return "extend"
+
+
+# (case, input box on the default config): the provisional horizon lies
+# within the default 10 s for v0c above (23 + 4) m / 10 s = 2.7 m/s, and a
+# pedestrian who crossed long before the ego arrives is farther from it
+# than 4 m when the ego passes, so that exit test fails
+EXIT_CASES = [
+    ("exit", ((4.0, 12.0), (0.5, 3.0), (0.0, 8.0))),
+    ("extend", ((3.0, 5.0), (2.5, 3.0), (0.0, 1.0))),
+    ("never", ((1.0, 2.6), (0.5, 3.0), (0.0, 8.0))),
+]
+
+
+@pytest.mark.parametrize("case, box", EXIT_CASES, ids=[c for c, _ in EXIT_CASES])
+def test_evaluate_input_exit_cases_match_simulate(case, box):
+    cfg = SimConfig()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.builds(ScenarioInput, *(st.floats(lo, hi) for lo, hi in box)))
+    def check(inp):
+        trace = simulate(inp, cfg)
+        assume(_exit_case(inp, cfg, trace) == case)
+        assert _bits(evaluate_input(inp, cfg)) == _bits(fitness(trace, cfg))
+
+    check()
+
+
+def test_evaluate_input_runs_on_past_a_stop_short_of_the_pedestrian():
+    # the ego has stopped 7.9 m short of the pedestrian by the provisional
+    # horizon (step 450), who reaches the bumper's band only at step 870:
+    # the minimum lies beyond the first exit test, which must fail
+    cfg = wide_bounds(spot_x=15.0)
+    inp = ScenarioInput(6.0, 1.0, 5.0)
+    trace = assert_matches_oracle(inp, cfg)
+    assert _exit_case(inp, cfg, trace) == "extend"
+    assert trace.ego_v[450] == 0.0 and trace.ego_x[450] < cfg.ped_start[0]
+    assert int(bumper_distances(trace, cfg).argmin()) == 870
 
 
 def test_evaluate_input_matches_simulate_at_bound_corners():

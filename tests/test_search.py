@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sasbt.search import (EvaluationArchive, SearchConfig, SearchSpace,
-                          crowding_distance, dominates,
-                          _tournament, environmental_selection, evolve,
+                          crowding_distance, dominates, non_dominated_mask,
+                          _sbx_pair, _tournament, environmental_selection, evolve,
                           lhs_sample, non_dominated_sort, rank_and_crowding)
 
 
@@ -55,6 +55,100 @@ def test_non_dominated_sort_matches_brute_force():
         more = np.vstack([objs, extra, tied])[dup_rng.permutation(n + len(extra) + 3)]
         got = [sorted(f) for f in non_dominated_sort(more)]
         assert got == brute_force_fronts(more), f"trial {trial} with duplicates"
+
+
+def peeled_fronts(objs: np.ndarray) -> list[np.ndarray]:
+    """Fronts by repeated `non_dominated_mask` (the m != 2 path for any m)."""
+    fronts, remaining = [], np.arange(len(objs))
+    while remaining.size:
+        mask = non_dominated_mask(objs[remaining])
+        fronts.append(remaining[mask])
+        remaining = remaining[~mask]
+    return fronts
+
+
+def per_front_crowding(objs: np.ndarray) -> np.ndarray:
+    """Crowding distance of one front, one stable argsort per objective."""
+    n, m = objs.shape
+    dist = np.zeros(n)
+    if n <= 2:
+        dist[:] = np.inf
+        return dist
+    for j in range(m):
+        order = np.argsort(objs[:, j], kind="stable")
+        dist[order[0]] = dist[order[-1]] = np.inf
+        span = objs[order[-1], j] - objs[order[0], j]
+        if span <= 0.0:
+            continue
+        dist[order[1:-1]] += (objs[order[2:], j] - objs[order[:-2], j]) / span
+    return dist
+
+
+def same_floats(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal IEEE bytes, except that any NaN equals any NaN: numpy's loops do
+    not fix which operand's NaN sign an operation on two NaNs returns."""
+    return a.shape == b.shape and all(x.tobytes() == y.tobytes() or (x != x and y != y)
+                                      for x, y in zip(a, b))
+
+
+SPECIAL_2D = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from(["special", "ties", "normal"]))
+def test_sweep_and_all_fronts_crowding_match_the_peel(data, kind):
+    # ties, exact duplicates, -0.0, +-inf and NaN rows, in any order
+    n = data.draw(st.integers(0, 40))
+    if kind == "special":
+        rows = data.draw(st.lists(st.tuples(SPECIAL_2D, SPECIAL_2D), min_size=n, max_size=n))
+        objs = np.array(rows, dtype=float).reshape(n, 2)
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        objs = (rng.integers(0, 5, (n, 2)).astype(float) if kind == "ties"
+                else rng.normal(size=(n, 2)))
+        objs = objs[rng.integers(0, n, n)] if n else objs  # duplicates
+    with np.errstate(invalid="ignore"):  # inf - inf, NaN spans
+        fronts, rank, crowding = rank_and_crowding(objs)
+        reference = [per_front_crowding(objs[f]) for f in fronts]
+        alone = [crowding_distance(objs[f]) for f in fronts]
+    expect = peeled_fronts(objs)
+    assert len(fronts) == len(expect)
+    for r, (got, want) in enumerate(zip(fronts, expect)):
+        assert got.tolist() == want.tolist() and (rank[got] == r).all()
+        assert same_floats(crowding[got], reference[r])
+        assert same_floats(alone[r], reference[r])
+    assert [f.tolist() for f in non_dominated_sort(objs)] == [f.tolist() for f in expect]
+
+
+def test_crowding_ties_go_to_the_lower_row():
+    # one 3-objective front whose two lowest f1 values tie (rows 0 and 1):
+    # the stable order hands f1's lower boundary (inf) to row 0, and f2 and
+    # f3 end on rows 3 and 4, so row 1 stays finite
+    front = np.array([[0.0, 2.0, 2.0], [0.0, 3.0, 1.0], [1.0, 1.0, 3.0],
+                      [2.0, 0.0, 4.0], [3.0, 4.0, 0.0]])
+    expect = [np.inf, 1 / 3 + 2 / 4 + 2 / 4, 2 / 3 + 2 / 4 + 2 / 4,
+              np.inf, np.inf]
+    assert crowding_distance(front).tolist() == expect
+    # the same front twice, the dominated copy first, through the all-fronts pass
+    objs = np.vstack([front + 10.0, front])
+    fronts, rank, crowding = rank_and_crowding(objs)
+    assert [f.tolist() for f in fronts] == [[5, 6, 7, 8, 9], [0, 1, 2, 3, 4]]
+    assert crowding[5:].tolist() == crowding[:5].tolist() == expect
+
+
+def test_sbx_skips_a_dimension_whose_parents_are_closer_than_1e_14():
+    # the coin says cross in both dimensions; dimension 0's parents are
+    # 1e-15 apart, so it draws no spread factor and both children copy it
+    draws = iter([0.0, 0.1, 0.1, 0.25])  # crossover, coin 0, coin 1, u for 1
+
+    class Scripted:
+        def random(self):
+            return next(draws)
+
+    c1, c2 = _sbx_pair(Scripted(), np.array([0.0, 0.0]), np.array([1e-15, 1.0]), 1.0, 15.0)
+    assert next(draws, None) is None
+    assert (c1[0], c2[0]) == (0.0, 1e-15)
+    assert c1[1] != 0.0 and c2[1] != 1.0
 
 
 def test_non_dominated_sort_translation_invariant():
