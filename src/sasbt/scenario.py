@@ -343,9 +343,10 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessV
     ego_v = np.empty(n + 1)
 
     # the first exit test: where an ego still cruising at v0c is EXIT_PROBE m
-    # past the pedestrian (never, for a v0c <= 0 that can move x backwards)
+    # past the pedestrian (never, for a v0c <= 0 that can move x backwards);
+    # a pedestrian far behind x = 0 and a tiny v0c give -inf: step 1
     probe = (px0 + EXIT_PROBE) / inp.v0c / dt if inp.v0c > 0.0 else math.inf
-    stop = max(1, math.ceil(probe)) if probe < n else n
+    stop = n if not probe < n else 1 if probe < 1 else math.ceil(probe)
     k, x, v, emergency = 0, 0.0, inp.v0c, False
     while True:
         # the deceleration for [t_k, t_k + dt), chosen exactly as in simulate

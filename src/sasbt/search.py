@@ -4,12 +4,15 @@ Implements the NSGA-II machinery used by both the plain scenario search and
 the decision-tree-guided variant: Latin Hypercube initialization,
 non-dominated sorting, crowding distance, binary tournament selection,
 simulated binary crossover (SBX) and polynomial mutation, plus an append-only
-archive of every real evaluation made during a run.  `non_dominated_mask` is
-the package's one dominance test.  `non_dominated_sort` assigns every front
-of two objectives in one sweep over the (f1, f2) order (Jensen 2003), and
-peels fronts with the mask for any other number; `rank_and_crowding`
-computes the crowding of all fronts at once, through the routine that
-`crowding_distance` runs on one front.  The archive is the only record of
+archive of every real evaluation made during a run.  `non_dominated_mask`
+finds the first front; `non_dominated_sort` and `rank_and_crowding` number
+every front, of two objectives in one sweep over the (f1, f2) order (Jensen
+2003), for any other number by peeling with the mask.  So two objectives
+have two dominance codes, with one policy (ties, duplicates, NaN) that the
+tests hold them to: the sweep's front 0 is the mask, but the mask, one
+numpy pass, costs less on the indicators' many small filters.
+`rank_and_crowding` computes the crowding of all fronts at once, through
+the routine that `crowding_distance` runs on one front.  The archive is the only record of
 an evaluation: a population is a list of archive row indices, and a genome
 or objective vector is read from the archive when it is needed.
 
@@ -333,19 +336,30 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
         List of ascending index arrays; fronts partition range(N), and each
         front is the non-dominated subset of the points not in an earlier one.
     """
+    return _fronts(_ranks(objectives))
+
+
+def _ranks(objectives: np.ndarray) -> np.ndarray:
+    # every row's front number: the sweep for two objectives, else the peel
     objs = np.asarray(objectives, dtype=float)
     if objs.ndim != 2:
         raise ValueError("objectives must be a 2-D (N, m) array")
-    if objs.shape[1] == 2 and len(objs):
-        rank = _sweep_ranks_2d(objs)
-        return np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
-    fronts: list[np.ndarray] = []
-    remaining = np.arange(objs.shape[0])
+    if objs.shape[1] == 2:
+        return _sweep_ranks_2d(objs)
+    rank = np.empty(len(objs), dtype=int)
+    remaining, r = np.arange(len(objs)), 0
     while remaining.size:
         mask = non_dominated_mask(objs[remaining])
-        fronts.append(remaining[mask])
-        remaining = remaining[~mask]
-    return fronts
+        rank[remaining[mask]] = r
+        remaining, r = remaining[~mask], r + 1
+    return rank
+
+
+def _fronts(rank: np.ndarray) -> list[np.ndarray]:
+    # ascending row indices per front number
+    if not rank.size:
+        return []
+    return np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
 
 
 def _sweep_ranks_2d(pts: np.ndarray) -> np.ndarray:
@@ -407,11 +421,8 @@ def rank_and_crowding(objectives: np.ndarray,
     """Fronts of an (N, m) objective matrix, with every position's rank
     (front number) and crowding distance within its front."""
     objs = np.asarray(objectives, dtype=float)
-    fronts = non_dominated_sort(objs)
-    rank = np.empty(len(objs), dtype=int)
-    for r, front in enumerate(fronts):
-        rank[front] = r
-    return fronts, rank, _crowding(objs, rank)
+    rank = _ranks(objs)
+    return _fronts(rank), rank, _crowding(objs, rank)
 
 
 def environmental_selection(fronts: list[np.ndarray], crowding: np.ndarray,

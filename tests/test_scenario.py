@@ -392,7 +392,7 @@ def _exit_case(inp: ScenarioInput, cfg: SimConfig, trace: SimulationTrace) -> st
     probe = (px0 + EXIT_PROBE) / inp.v0c / cfg.dt if inp.v0c > 0.0 else math.inf
     if not probe < n:
         return "never"
-    k = max(1, math.ceil(probe))
+    k = 1 if probe < 1 else math.ceil(probe)
     d = bumper_distances(trace, cfg)
     closer_later = d[k + 1:].min() < d[:k + 1].min() if k < n else False
     if abs(px0 - trace.ego_x[k]) > d[:k + 1].min() * (1.0 + EXIT_MARGIN):
@@ -436,6 +436,15 @@ def test_evaluate_input_runs_on_past_a_stop_short_of_the_pedestrian():
     assert _exit_case(inp, cfg, trace) == "extend"
     assert trace.ego_v[450] == 0.0 and trace.ego_x[450] < cfg.ped_start[0]
     assert int(bumper_distances(trace, cfg).argmin()) == 870
+
+
+def test_evaluate_input_exit_probe_before_step_one():
+    # a pedestrian more than EXIT_PROBE m behind x = 0 and a subnormal v0c
+    # put the provisional horizon at -inf steps: the test runs at step 1
+    cfg = SimConfig(ped_start=(-10.0, 0.0), input_bounds=((0.0, 15.0), (0.0, 4.0), (0.0, 10.0)))
+    for v0c in (1e-310, 5e-324, 1e-3, 15.0):
+        trace = assert_matches_oracle(ScenarioInput(v0c, 1.0, 0.0), cfg)
+        assert _exit_case(ScenarioInput(v0c, 1.0, 0.0), cfg, trace) in ("exit", "extend")
 
 
 def test_evaluate_input_matches_simulate_at_bound_corners():

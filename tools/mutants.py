@@ -3,32 +3,24 @@
 
 Each mutant is a one-line text replacement in one file under src/.  For
 every mutant the runner copies the working tree (tracked and untracked,
-not ignored files) into a temporary directory, applies the replacement
-there, and runs the Tier-1 suite with -x in that copy.  The working tree is
-never written.  Each run has its own timeout and an address-space limit set
-on its child process, so a mutant that hangs or grows without bound is
-stopped and reported as such.
+not ignored files) into a temporary directory and applies the replacement
+there; the working tree is never written.  A mutant either names the test
+expected to kill it, which is run alone and must fail, or is marked
+equivalent with a one-line argument, and then the whole Tier-1 suite runs
+with -x and must pass.  Each run is a child process with a timeout of
+TIMEOUT_S and an address-space limit of MEM_MB, so a mutant that hangs or
+grows without bound is stopped and reported as such.
 
-A mutant either names the test expected to kill it, or is marked
-equivalent with a one-line argument.  The run prints a Markdown table and
-exits 1 if a non-equivalent mutant survives or an equivalent one is killed.
-It takes minutes (a surviving mutant runs all of Tier-1), so it is not part
-of Tier-1:
+The run prints a Markdown table and exits 1 if any mutant's result is not
+the expected one.  It takes minutes (each equivalent mutant runs all of
+Tier-1), so it is not part of Tier-1:
 
-    python3 tools/mutants.py                 # every mutant
-    python3 tools/mutants.py --only sweep    # names containing "sweep"
-    python3 tools/mutants.py --tests tests/test_search.py tests/test_scenario.py
-
-With -x the first failing test in file order is reported, which is often
-the golden digest; `--tests` runs only the named test files, to show which
-unit test kills a mutant without it.
+    python3 tools/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import resource
 import shutil
 import signal
@@ -41,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EQUIVALENT = "equivalent: "
+TIMEOUT_S = 600.0  # per run
+MEM_MB = 3072  # address-space limit per run
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,7 @@ MUTANTS = [
            "test_indicators.py::test_filter_matches_brute_force"),
     Mutant("mask-2d f2 > group_min -> >=", "src/sasbt/search.py",
            "(f2 > group_min[group])", "(f2 >= group_min[group])",
-           "test_acceptance.py::test_criterion_1_distinct_critical_ratio"),
+           "test_indicators.py::test_filter_examples"),
     Mutant("_hv2 dedup on f1 only", "src/sasbt/indicators.py",
            "distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)",
            "distinct[1:] = pts[1:, 0] != pts[:-1, 0]",
@@ -120,25 +114,14 @@ def tree_files() -> list[str]:
     return [f for f in out.split("\0") if f and (ROOT / f).is_file()]
 
 
-def limited(mem_mb: int):
-    def apply() -> None:
-        limit = mem_mb * 1024 * 1024
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    return apply
+def limit_memory() -> None:
+    limit = MEM_MB * 1024 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def first_failure(output: str) -> str:
-    for line in output.splitlines():
-        match = re.match(r"(?:FAILED|ERROR) (\S+)", line)
-        if match:
-            return match.group(1).removeprefix("tests/").split("[")[0]
-    return "a failing run without a test name"
-
-
-def run_mutant(mutant: Mutant, files: list[str], tests: list[str], timeout: float,
-               mem_mb: int) -> tuple[str, str, float]:
-    """(status, detail, seconds): status is killed, survived, timeout or
-    invalid (the old text does not occur exactly once)."""
+def run_mutant(mutant: Mutant, files: list[str]) -> tuple[str, float]:
+    """(status, seconds): status is killed, survived, timeout, invalid (the
+    old text does not occur exactly once) or error."""
     with tempfile.TemporaryDirectory(prefix="sasbt-mutant-") as tmp:
         copy = Path(tmp)
         for f in files:
@@ -147,46 +130,39 @@ def run_mutant(mutant: Mutant, files: list[str], tests: list[str], timeout: floa
         target = copy / mutant.path
         text = target.read_text(encoding="utf-8")
         if text.count(mutant.old) != 1:
-            return "invalid", f"old text occurs {text.count(mutant.old)} times", 0.0
+            return f"invalid: old text occurs {text.count(mutant.old)} times", 0.0
         target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
                    OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        start = time.perf_counter()
+        tests = [] if mutant.expect.startswith(EQUIVALENT) else ["tests/" + mutant.expect]
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-        proc = subprocess.Popen(command, cwd=copy, env=env, text=True,
-                                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                                start_new_session=True, preexec_fn=limited(mem_mb))
+        start = time.perf_counter()
+        proc = subprocess.Popen(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, start_new_session=True,
+                                preexec_fn=limit_memory)
         try:
-            output, _ = proc.communicate(timeout=timeout)
+            code = proc.wait(timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            return "timeout", f"no result in {timeout:.0f} s", time.perf_counter() - start
-        seconds = time.perf_counter() - start
-        if proc.returncode == 0:
-            return "survived", "", seconds
-        return "killed", first_failure(output), seconds
+            proc.wait()
+            return "timeout", time.perf_counter() - start
+        # pytest exits 1 on a failed test and 2 on a collection error; 4
+        # (usage, such as an unknown test id) or 5 (nothing collected) kills nothing
+        status = {0: "survived", 1: "killed", 2: "killed"}.get(code, f"error: pytest exit {code}")
+        return status, time.perf_counter() - start
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", default="", help="run mutants whose name contains this")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
-    parser.add_argument("--mem-mb", type=int, default=3072, help="address-space limit per run")
-    parser.add_argument("--tests", nargs="*", default=[],
-                        help="test files to run (default: Tier-1)")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if args.only in m.name]
+def main() -> int:
     files = tree_files()
     print("| mutant | expected | result | s |\n|---|---|---|---|")
     bad = 0
-    for m in chosen:
-        status, detail, seconds = run_mutant(m, files, args.tests, args.timeout, args.mem_mb)
+    for m in MUTANTS:
+        status, seconds = run_mutant(m, files)
         equivalent = m.expect.startswith(EQUIVALENT)
         ok = status == "survived" if equivalent else status in ("killed", "timeout")
         bad += not ok
-        result = f"{status}{', ' + detail if detail else ''}{'' if ok else ' **UNEXPECTED**'}"
-        print(f"| {m.name} | {m.expect} | {result} | {seconds:.0f} |", flush=True)
+        print(f"| {m.name} | {m.expect} | {status}{'' if ok else ' **UNEXPECTED**'} "
+              f"| {seconds:.0f} |", flush=True)
     return 1 if bad else 0
 
 
