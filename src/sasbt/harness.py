@@ -568,7 +568,8 @@ def replay(out_dir, *, quiet: bool = False) -> bool:
     """Re-render every derived artifact of an output directory from its
     inputs (the archives and snapshot checkpoints, or the trial round logs)
     through the code that wrote it, and compare the bytes.  Returns True
-    when every file matches."""
+    when every file matches, and False, saying why unless quiet, when an
+    input is missing or unreadable or a file differs."""
     out = Path(out_dir)
     report_path = out / "report.json"
     if not report_path.exists():
@@ -589,9 +590,9 @@ def replay(out_dir, *, quiet: bool = False) -> bool:
                 RoundLog(**json.loads(line)) for line in (out / f"trial_{i:02d}.jsonl")
                 .read_text(encoding="utf-8").splitlines() if line.strip()])
                 for i in range(report["repetitions"])])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OSError, TypeError, ValueError) as exc:
         if not quiet:
-            print(f"replay cannot re-render the artifacts: {exc!r}")
+            print(f"replay cannot re-render the artifacts: {type(exc).__name__}: {exc}")
         return False
     ok = True
     for name, text in expected.items():

@@ -4,15 +4,14 @@ Implements the NSGA-II machinery used by both the plain scenario search and
 the decision-tree-guided variant: Latin Hypercube initialization,
 non-dominated sorting, crowding distance, binary tournament selection,
 simulated binary crossover (SBX) and polynomial mutation, plus an append-only
-archive of every real evaluation made during a run.  `non_dominated_mask`
-finds the first front; `non_dominated_sort` and `rank_and_crowding` number
-every front, of two objectives in one sweep over the (f1, f2) order (Jensen
-2003), for any other number by peeling with the mask.  So two objectives
-have two dominance codes, with one policy (ties, duplicates, NaN) that the
-tests hold them to: the sweep's front 0 is the mask, but the mask, one
-numpy pass, costs less on the indicators' many small filters.
-`rank_and_crowding` computes the crowding of all fronts at once, through
-the routine that `crowding_distance` runs on one front.  The archive is the only record of
+archive of every real evaluation made during a run.  Two-objective
+dominance is decided in one place, a sweep over the (f1, f2) order (Jensen
+2003) that numbers every front: `non_dominated_mask` is its front 0, and
+`non_dominated_sort` and `rank_and_crowding` use all of its ranks.  For any
+other number of objectives the mask compares blocks of rows with all rows,
+and the fronts are peeled with it.  `rank_and_crowding` computes the
+crowding of all fronts at once, through the routine that
+`crowding_distance` runs on one front.  The archive is the only record of
 an evaluation: a population is a list of archive row indices, and a genome
 or objective vector is read from the archive when it is needed.
 
@@ -286,42 +285,21 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
     A point is kept unless some other point is <= in every objective and <
     in at least one.  Exact duplicates never dominate each other, so every
     copy of a non-dominated point is kept; a NaN compares false, so a point
-    with a NaN objective is never dominated (as in `dominates`).
+    with a NaN objective is never dominated (as in `dominates`).  For two
+    objectives this is front 0 of the sweep that ranks every front.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D (N, m) array")
     n, m = pts.shape
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     if m == 2:
-        return _non_dominated_mask_2d(pts)
+        return _sweep_ranks_2d(pts) == 0
     # a block of rows against every row at once: (B, N, m) comparisons
     mask = np.empty(n, dtype=bool)
     for start in range(0, n, MASK_BLOCK):
         block = pts[start:start + MASK_BLOCK, None, :]
         dominated = (pts <= block).all(axis=2) & (pts < block).any(axis=2)
         mask[start:start + MASK_BLOCK] = ~dominated.any(axis=1)
-    return mask
-
-
-def _non_dominated_mask_2d(pts: np.ndarray) -> np.ndarray:
-    # Kung-Luccio-Preparata sort and sweep: after sorting by (f1, f2), a point
-    # is dominated iff an earlier f1 group reaches its f2 or its own group's
-    # minimum f2 (the group's first entry) is smaller.  NaN never wins: the
-    # first group has no earlier one, and a NaN f1 is never dominated
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    f1, f2 = pts[order, 0], pts[order, 1]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = f1[1:] != f1[:-1]
-    group = np.cumsum(first) - 1
-    group_min = f2[first]
-    best_before = np.empty_like(group_min)  # min f2 over smaller f1
-    best_before[0] = np.nan
-    best_before[1:] = np.fmin.accumulate(group_min)[:-1]
-    dominated = ((best_before[group] <= f2) | (f2 > group_min[group])) & ~np.isnan(f1)
-    mask = np.empty(order.size, dtype=bool)
-    mask[order] = ~dominated
     return mask
 
 
@@ -368,8 +346,8 @@ def _sweep_ranks_2d(pts: np.ndarray) -> np.ndarray:
     # smallest f2 so far (`last`, ascending along the fronts) exceeds its f2;
     # a front whose smallest f2 ties it holds a smaller f1, so it dominates,
     # unless that point is an exact duplicate, which joins its twin's front.
-    # A row with a NaN is never dominated and dominates nothing (as in the
-    # mask), so it stays in front 0 and out of the sweep
+    # A row with a NaN is never dominated and dominates nothing (as in
+    # `dominates`), so it stays in front 0 and out of the sweep
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     rank = np.zeros(len(pts), dtype=int)
     last: list[float] = []

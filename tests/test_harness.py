@@ -573,6 +573,18 @@ def test_a_truncated_archive_row_is_a_runtime_error(compare_run: tuple[Path, dic
     assert "line 81" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["archive_nsga2-r00.csv", "snapshots.csv"])
+def test_replay_of_a_compare_run_missing_an_input_fails(compare_run: tuple[Path, dict],
+                                                       tmp_path: Path, capsys,
+                                                       name: str) -> None:
+    out, _ = compare_run
+    copy = _copy_run(out, tmp_path)
+    (copy / name).unlink()
+    assert not replay(copy, quiet=True)
+    assert cli.main(["replay", str(copy)]) == cli.EXIT_RUNTIME
+    assert name in capsys.readouterr().out
+
+
 def test_invalid_config_fails_before_any_output(tmp_path: Path) -> None:
     config = ExperimentConfig.from_text(COMPARE_TEXT)
     config.dt.budget = 81  # breaks the multiple-of-population rule
@@ -692,6 +704,16 @@ def test_falsify_replay_and_tamper_detection(falsify_run: tuple[Path, dict],
     lines = (copy / "trial_00.jsonl").read_text().splitlines()
     (copy / "trial_00.jsonl").write_text("\n".join(lines[:-1]) + "\n")
     assert not replay(copy, quiet=True)
+
+
+def test_replay_of_a_falsify_run_missing_a_trial_log_fails(falsify_run: tuple[Path, dict],
+                                                          tmp_path: Path, capsys) -> None:
+    out, _ = falsify_run
+    copy = _copy_run(out, tmp_path)
+    (copy / "trial_01.jsonl").unlink()
+    assert not replay(copy, quiet=True)
+    assert cli.main(["replay", str(copy)]) == cli.EXIT_RUNTIME
+    assert "trial_01.jsonl" in capsys.readouterr().out
 
 
 def test_falsify_replay_detects_tampered_stats(falsify_run: tuple[Path, dict],

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sasbt.search import (EvaluationArchive, SearchConfig, SearchSpace,
-                          crowding_distance, dominates, non_dominated_mask,
+                          crowding_distance, dominates,
                           _sbx_pair, _tournament, environmental_selection, evolve,
                           lhs_sample, non_dominated_sort, rank_and_crowding)
 
@@ -58,10 +58,14 @@ def test_non_dominated_sort_matches_brute_force():
 
 
 def peeled_fronts(objs: np.ndarray) -> list[np.ndarray]:
-    """Fronts by repeated `non_dominated_mask` (the m != 2 path for any m)."""
+    """Fronts by pairwise dominance, independent of the search module: each
+    front is the remaining rows that no remaining row j dominates (objs[j]
+    <= the row everywhere and < somewhere)."""
     fronts, remaining = [], np.arange(len(objs))
     while remaining.size:
-        mask = non_dominated_mask(objs[remaining])
+        pts = objs[remaining]
+        dom = (pts[:, None] <= pts[None]).all(axis=2) & (pts[:, None] < pts[None]).any(axis=2)
+        mask = ~dom.any(axis=0)  # dom[j, i]: row j dominates row i
         fronts.append(remaining[mask])
         remaining = remaining[~mask]
     return fronts

@@ -47,11 +47,11 @@ class Mutant:
 
 
 MUTANTS = [
-    Mutant("mask-2d best_before <= -> <", "src/sasbt/search.py",
-           "(best_before[group] <= f2)", "(best_before[group] < f2)",
+    Mutant("sweep bisect_right -> bisect_left", "src/sasbt/search.py",
+           "bisect.bisect_right(last, f2)", "bisect.bisect_left(last, f2)",
            "test_indicators.py::test_filter_matches_brute_force"),
-    Mutant("mask-2d f2 > group_min -> >=", "src/sasbt/search.py",
-           "(f2 > group_min[group])", "(f2 >= group_min[group])",
+    Mutant("sweep takes NaN rows in", "src/sasbt/search.py",
+           "if f1 != f1 or f2 != f2:", "if False:",
            "test_indicators.py::test_filter_examples"),
     Mutant("_hv2 dedup on f1 only", "src/sasbt/indicators.py",
            "distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)",
