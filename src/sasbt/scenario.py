@@ -17,9 +17,9 @@ minimum.  A scenario is critical when f1 <= theta1 and f2 >= theta2.
 
 Two paths compute that fitness.  `evaluate_input` is the exact
 fitness-only path the searches call: it integrates the run in segments of
-constant deceleration, in place in two horizon-long arrays, and looks for
-a segment's end only on the steps that can end it (a bisection for a
-cruise, the steps before the ego stops for braking, the pedestrian's
+constant deceleration, in place in two horizon-long arrays, and ends each
+segment at the first later step where `simulate`'s deceleration choice
+changes (a sorted search for a cruise's comfort flip, the pedestrian's
 corridor steps for the emergency latch); it records no trace.  It first
 integrates only to where an ego still cruising at v0c would be 4 m past
 the pedestrian, and returns there when the ego's x distance to the
@@ -304,12 +304,13 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessV
     detected.
 
     - A cruise segment (no deceleration at a positive speed) keeps v
-      exactly.  Its x never decreases and fl(spot_x - x) is monotone, so
-      its comfort test flips at most once, found by bisection.
-    - Once a braking segment reaches speed 0.0, x + 0.0 * dt = x and
-      max(0, 0 - a dt) = 0 whatever a is: no decision from that step on
-      changes a sample, so flips and the envelope are searched only on the
-      steps before it, and a stopped ego runs to the horizon.
+      exactly.  Its x never decreases, so fl(x - spot_x) never decreases
+      and its comfort test flips at most once; `searchsorted` finds that
+      step, as fl(spot_x - x) = -fl(x - spot_x) under round-to-nearest.
+    - A braking segment tests the comfort rule on every step up to its
+      cut, as `simulate` does.  Once its speed is 0.0 no decision changes
+      a sample, so the comfort test flips at most once more and the latch
+      fires at most once: a stopped ego adds at most two segments.
     - The corridor is the sorted array of steps with |ped_y| inside it; a
       segment scores the envelope only on its window of those steps.
       `_detects` runs only on envelope steps, in order, and never after
@@ -376,26 +377,15 @@ def evaluate_input(inp: ScenarioInput, cfg: SimConfig = SimConfig()) -> FitnessV
         np.add.accumulate(xs, out=xs)
         cut = stop - k  # segment length in steps; to `stop` by default
         if not emergency:
-            if cruise:  # the first later step with spot_x - x <= v^2 / (2 a_c)
-                reach, lo = v * v / (2.0 * comfort_decel), 1
-                while lo < cut:
-                    mid = (lo + cut) // 2
-                    if spot_x - xs[mid] <= reach:
-                        cut = mid
-                    else:
-                        lo = mid + 1
-                end = cut
+            if cruise:  # the first later step with x - spot_x >= -v^2 / (2 a_c)
+                cut = 1 + int((xs[1:cut] - spot_x).searchsorted(-v * v / (2.0 * comfort_decel)))
             else:
-                # speeds never rise again, so the nonzero ones come first (a
-                # negative v0c is one nonzero sample); no decision from the
-                # first 0.0 speed on changes a sample
-                end = min(cut, int(np.count_nonzero(vs)))
-                vj = vs[1:end]
-                flips = ((spot_x - xs[1:end] <= vj * vj / (2.0 * comfort_decel))
+                vj = vs[1:cut]
+                flips = ((spot_x - xs[1:cut] <= vj * vj / (2.0 * comfort_decel))
                          != comfort).nonzero()[0]
                 if flips.size:
-                    cut = end = int(flips[0]) + 1
-            lo, hi = corridor.searchsorted((k + 1, k + end))  # the steps k+1 .. k+end-1
+                    cut = int(flips[0]) + 1
+            lo, hi = corridor.searchsorted((k + 1, k + cut))  # the steps k+1 .. k+cut-1
             if lo < hi:
                 steps = corridor[lo:hi]
                 gap = px0 - ego_x[steps]

@@ -8,8 +8,11 @@ is self-contained and runnable on its own:
 
 The two experiment-level checks load the shipped config files under
 `configs/`, so the suite also validates exactly what the CLI ships with.
+The headline run that criteria 1 and 2 read is also pinned byte for byte
+(`test_headline_run_digests`).
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -73,6 +76,49 @@ def test_criterion_2_early_hypervolume_advantage(compare_experiment, capsys) -> 
              f"median HV at {agg['quarter_budget_evaluations']} evaluations "
              f"(25% budget): tree-guided {hv['nsga2dt']:.5f} vs plain "
              f"{hv['nsga2']:.5f} over {report['repetitions']} seeds")
+
+
+# SHA-256 of every file of the 10-repetition `compare_default.cfg` run,
+# recorded from the code before `evaluate_input` dropped its cruise
+# bisection and its stopped-ego bound
+HEADLINE_DIGESTS = {
+    "archive_nsga2-r00.csv": "ae1778864307244ee3bbbefbc8f76522cff63f06e416d6d4ea519990321f2ac5",
+    "archive_nsga2-r01.csv": "cde21b9385a75c5dbd14a42add810ad2a9eb081f7d5296d9cc573b3d051995a0",
+    "archive_nsga2-r02.csv": "fe962c5c8b37f60c3ac867e9a945ddd0caccb22c56fc5cb0a0f42ebb94ba7f6b",
+    "archive_nsga2-r03.csv": "61bbffa1b87a0a74f664553803fc29ce50413c954ea0d587e564abccf709e16a",
+    "archive_nsga2-r04.csv": "c7edf22dca86ba592195f4c33fdb74bfc9dcddc21e4910a79743c7d6285a7850",
+    "archive_nsga2-r05.csv": "daa541703363e959dfd88c05289c90edc4e602c31184ea7cc1aa110e130c5a6e",
+    "archive_nsga2-r06.csv": "7b12cb20793a12a03897409f7dc161491e350c1ae58681edb553e8b21325a850",
+    "archive_nsga2-r07.csv": "094bcb67280de4a25584130e33ae4d76eda0923263133224fe9447658374e521",
+    "archive_nsga2-r08.csv": "f318e960849c26e92cf912a385ab64cab80345387a29831557b09cdacf9145a2",
+    "archive_nsga2-r09.csv": "00fd54da3a1b00c663779e381c73d196a5267a1cee65a0ba17af46024e9fd084",
+    "archive_nsga2dt-r00.csv": "efee675c176c4c8c07f4fee4447b1ef92490cceafc495fd763a2baedb1685f2d",
+    "archive_nsga2dt-r01.csv": "49fceca33c5f2255fc0542a514a2c5ef3307ba430b940852c3c14c379e668989",
+    "archive_nsga2dt-r02.csv": "1ef0f1b0a6464bb47ca4ed77a373d2e456f4630496c0a15c10bb4a0f4f17eb2f",
+    "archive_nsga2dt-r03.csv": "8c2075774ed51489ed60284453978ee3dc81e549368ca92b5a6909117888935c",
+    "archive_nsga2dt-r04.csv": "da53a1d92c60bbe70179030b45016c6da87a8f7fdce28fb891aa7f2100df5df3",
+    "archive_nsga2dt-r05.csv": "8b3c4e26caaa9ff9ccaafbcc95042a72adebe94b6934e78ef23e328831bda20c",
+    "archive_nsga2dt-r06.csv": "ad52c21fb7be581c7e53594bcdb37f1bbb5d021ae6850859f95c471c4035eaa6",
+    "archive_nsga2dt-r07.csv": "18ec279021126cbeec393b88f8fc8f448691eff3da7291b566820c0e70ac5598",
+    "archive_nsga2dt-r08.csv": "01dcb9867418e5ea801a825cf00784918d6f4d2d81b3e3d60e97e460aad0f82f",
+    "archive_nsga2dt-r09.csv": "03af1780eab5f36ee24b0d483350ae11d88180ec78cfa68137af29a745998143",
+    "plots.csv": "d9fb2fcc808dc70bc156a7f375a040e48423f8ab64bcad4d9ebf19b86a6ce905",
+    "regions.json": "8751cbcf127c1d1a61538c1c2a627703324a93c527a906344b5f887926d4f0d8",
+    "report.json": "27f62e1b16642e9d08f8859639ee43ec92288367b5eef6bd64af24fa9e9c1964",
+    "snapshots.csv": "b96fb09db7d1b7dc073cc8a24fd244a49760d914b3f6dfc75e7a4158f151b277",
+}
+
+
+def test_headline_run_digests(compare_experiment) -> None:
+    """Criterion 1 holds the ratio and the p-value only to their thresholds,
+    and the golden digests pin a single repetition; this pins all 24 files
+    of the headline run, so repetitions 1-9 and the p-value's last bits
+    cannot change unnoticed.  Echoing the `sim`, `search` and `dt` configs
+    in compare's report.json will change report.json's bytes on purpose
+    and re-record its digest here."""
+    out, _ = compare_experiment
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert found == HEADLINE_DIGESTS
 
 
 def test_criterion_3_lti2_falsification(tmp_path: Path, capsys) -> None:

@@ -232,6 +232,11 @@ def test_falsify_config_requires_requirement_and_known_system() -> None:
             "experiment.kind = falsify\n"
             "falsify.system = rocket\n"
             "falsify.requirement = y0 <= 1\n")
+    with pytest.raises(ConfigError, match="unknown falsification method: 'bogus'"):
+        ExperimentConfig.from_text(
+            "experiment.kind = falsify\n"
+            "falsify.method = bogus\n"
+            "falsify.requirement = y0 <= 1\n")
     with pytest.raises(ConfigError, match="falsify.requirement"):
         ExperimentConfig.from_text(
             "experiment.kind = falsify\nfalsify.requirement = y0 <<= 1\n")
@@ -519,11 +524,16 @@ def test_replay_detects_tampered_snapshots(compare_run: tuple[Path, dict],
 
 
 def test_replay_detects_tampered_plots(compare_run: tuple[Path, dict],
-                                       tmp_path: Path) -> None:
+                                       tmp_path: Path, capsys) -> None:
     out, _ = compare_run
     copy = _copy_run(out, tmp_path)
     _edit_line(copy / "plots.csv", 9, 4, "0.125")
     assert not replay(copy, quiet=True)
+    # a truncated file: every line it has matches, and it has too few
+    lines = (out / "plots.csv").read_text().splitlines(keepends=True)
+    (copy / "plots.csv").write_text("".join(lines[:-1]))
+    assert not replay(copy)
+    assert "mismatch plots.csv: line counts differ" in capsys.readouterr().out
 
 
 def test_replay_without_snapshot_rows_fails_cleanly(compare_run: tuple[Path, dict],
@@ -595,6 +605,9 @@ def test_invalid_config_fails_before_any_output(tmp_path: Path) -> None:
     config2 = ExperimentConfig.from_text(FALSIFY_TEXT)
     with pytest.raises(ConfigError, match="compare-kind"):
         run_compare(config2, out, quiet=True)
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="run_falsify needs a falsify-kind config"):
+        run_falsify(ExperimentConfig.from_text(COMPARE_TEXT), out, quiet=True)
     assert not out.exists()
 
 

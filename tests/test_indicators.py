@@ -111,6 +111,9 @@ def test_hv_worked_examples():
         pytest.approx(0.25, abs=1e-15)
     hv = hypervolume(np.array([[0.25, 0.75], [0.75, 0.25]]), np.array([1.0, 1.0]))
     assert hv == pytest.approx(0.3125, abs=1e-15)
+    # a NaN row stays in front 0 and shares f1 with a finite row: the two are
+    # distinct rows, so the NaN reaches the sum
+    assert np.isnan(hypervolume(np.array([[0.5, 0.5], [0.5, np.nan]]), np.array([1.0, 1.0])))
 
 
 def test_hv_matches_inclusion_exclusion():

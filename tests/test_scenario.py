@@ -478,6 +478,14 @@ def test_evaluate_input_horizon_ends_mid_braking_short_of_spot():
     assert _phases(trace, cfg) == ["cruise", "comfort"]
     assert trace.ego_v[-1] > 0.0
     assert trace.ego_x[-1] < cfg.spot_x
+    # v^2 / (2 a) is ~1.25e11 m, and the margin a braking step gains on it,
+    # a dt^2 / 2 = 5e-13 m, is below rounding: the comfort test flips back to
+    # a cruise for one step (81) inside a braking segment
+    cfg = SimConfig(dt=0.1, comfort_decel=1e-10, spot_x=125000000002.5, ped_start=(45.0, 6.0))
+    trace = assert_matches_oracle(ScenarioInput(5.0, 0.5, 8.0), cfg)
+    assert np.flatnonzero(np.diff(trace.ego_v) == 0.0).tolist() == [0, 1, 2, 3, 4, 81]
+    assert trace.ego_v[-1] > 0.0
+    assert trace.ego_x[-1] < cfg.spot_x
 
 
 def test_evaluate_input_pedestrian_never_in_corridor():

@@ -56,7 +56,7 @@ MUTANTS = [
     Mutant("_hv2 dedup on f1 only", "src/sasbt/indicators.py",
            "distinct[1:] = (pts[1:] != pts[:-1]).any(axis=1)",
            "distinct[1:] = pts[1:, 0] != pts[:-1, 0]",
-           EQUIVALENT + "on a filtered front two distinct points never share f1"),
+           "test_indicators.py::test_hv_worked_examples"),
     Mutant("prefix critical count side right", "src/sasbt/indicators.py",
            "k = int(np.searchsorted(crit_rows, count))",
            "k = int(np.searchsorted(crit_rows, count, side='right'))",
@@ -104,6 +104,49 @@ MUTANTS = [
     Mutant("crowding span <= 0 -> < 0", "src/sasbt/search.py",
            "(span <= 0.0)", "(span < 0.0)",
            "test_search.py::test_sweep_and_all_fronts_crowding_match_the_peel"),
+    Mutant("cruise flip searched from step 2", "src/sasbt/scenario.py",
+           "cut = 1 + int((xs[1:cut] - spot_x)", "cut = 2 + int((xs[2:cut] - spot_x)",
+           "test_scenario.py::test_evaluate_input_cruise_flip_on_the_first_and_last_step"),
+    Mutant("braking flip cut one step late", "src/sasbt/scenario.py",
+           "cut = int(flips[0]) + 1", "cut = int(flips[0]) + 2",
+           "test_scenario.py::test_evaluate_input_horizon_ends_mid_braking_short_of_spot"),
+    Mutant("corridor window starts at k + 2", "src/sasbt/scenario.py",
+           "corridor.searchsorted((k + 1, k + cut))", "corridor.searchsorted((k + 2, k + cut))",
+           "test_scenario.py::test_evaluate_input_pedestrian_enters_the_corridor_at_a_cut"),
+    Mutant("EXIT_PROBE 4 -> 8 m", "src/sasbt/scenario.py",
+           "EXIT_PROBE = 4.0", "EXIT_PROBE = 8.0",
+           EQUIVALENT + "the exit test is exact at any provisional horizon"),
+    # exact too, but at the pedestrian's x the exit test never passes: the
+    # test's "exit" box then has no input to draw
+    Mutant("EXIT_PROBE 4 -> 0 m", "src/sasbt/scenario.py",
+           "EXIT_PROBE = 4.0", "EXIT_PROBE = 0.0",
+           "test_scenario.py::test_evaluate_input_exit_cases_match_simulate"),
+    Mutant("prefix front grows from done + 1", "src/sasbt/indicators.py",
+           "np.arange(done, count)", "np.arange(done + 1, count)",
+           "test_indicators.py::test_incremental_prefix_scores_equal_batch_scores"),
+    Mutant("prefix never rescores a changed front", "src/sasbt/indicators.py",
+           "if scores is None or not np.array_equal(grown, front):", "if scores is None:",
+           "test_indicators.py::test_incremental_prefix_scores_equal_batch_scores"),
+    Mutant("annealer rewind replays one step short", "src/sasbt/falsify.py",
+           "for _ in range(i):", "for _ in range(i - 1):",
+           "test_falsify.py::test_optimizers_spend_exactly_the_budget_and_stay_in_bounds"),
+    Mutant("annealer rewind skips the better step's normal", "src/sasbt/falsify.py",
+           "rng.normal(0.0, 1.0, dim)\n                size = max(",
+           "size = max(",
+           "test_falsify.py::test_optimizers_spend_exactly_the_budget_and_stay_in_bounds"),
+    Mutant("annealer batch halves -> thirds", "src/sasbt/falsify.py",
+           "size = max(size // 2, ANNEAL_BATCH_MIN)", "size = max(size // 3, ANNEAL_BATCH_MIN)",
+           EQUIVALENT + "the walk and the generator's state do not depend on the batch size"),
+    Mutant("FIR lfilter keeps the convolution's tail", "src/sasbt/arx.py",
+           "np.convolve(taps, row)[:n]", "np.convolve(taps, row)[-n:]",
+           "test_falsify.py::test_surrogate_objective_matches_the_public_layers_bit_for_bit"),
+    Mutant("m != 2 mask: the last row dominates nothing", "src/sasbt/search.py",
+           "dominated = (pts <= block).all(axis=2) & (pts < block).any(axis=2)",
+           "dominated = (pts[:-1] <= block).all(axis=2) & (pts[:-1] < block).any(axis=2)",
+           "test_search.py::test_non_dominated_sort_matches_brute_force"),
+    Mutant("archive reuse off", "src/sasbt/search.py",
+           "row = self.first_row.get(np.asarray(genome, dtype=float).tobytes())", "row = None",
+           "test_search.py::test_evolve_evaluates_only_fresh_genomes_and_returns_archive_rows"),
 ]
 
 
