@@ -230,9 +230,9 @@ def random_minimize(fun: Callable[[np.ndarray], float], space: SearchSpace,
                     budget: int, rng: np.random.Generator, *,
                     init: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, float, int]:
-    """Uniform random search baseline with `anneal_minimize`'s signature
-    and result: `fun` scores one point and returns a float (not a (k, dim)
-    stack), and `init` is ignored."""
+    """Uniform random search baseline, called like `anneal_minimize` and
+    returning the same result, except that `fun` scores one point (not a
+    (k, dim) stack) and `init` is ignored."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     space.check_finite()
