@@ -172,6 +172,14 @@ def anneal_minimize(fun: Callable[[np.ndarray], np.ndarray], space: SearchSpace,
     the batch: the generator is rewound to the batch start and replays the
     draws the loop made.  The result and the generator's final state equal
     the sequential loop's; discarded proposals are scored but not counted.
+
+    A normal is `rng.standard_normal(dim)`: it reads the same words as the
+    loop's `rng.normal(0.0, 1.0, dim)` and leaves the same state, and
+    differs only where the ziggurat returns -0.0, to which `normal` adds
+    0.0.  The step is then -0.0 instead of 0.0, which changes x + step only
+    where x is -0.0 too.  A uniform start is never -0.0, and a sum is -0.0
+    only when both terms are, so x is -0.0 only from a -0.0 in `init` or
+    from the clip at a bound of -0.0.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -193,7 +201,7 @@ def anneal_minimize(fun: Callable[[np.ndarray], np.ndarray], space: SearchSpace,
         start = bit_generator.state
         normals, uniforms = [], []
         for _ in range(n):
-            normals.append(rng.normal(0.0, 1.0, dim))
+            normals.append(rng.standard_normal(dim))
             uniforms.append(rng.random())
         steps = np.array(normals) * sigma
         cands = space.clip(x + steps)
@@ -216,9 +224,9 @@ def anneal_minimize(fun: Callable[[np.ndarray], np.ndarray], space: SearchSpace,
             if better:  # no uniform was drawn here: rewind, replay the draws
                 bit_generator.state = start
                 for _ in range(i):
-                    rng.normal(0.0, 1.0, dim)
+                    rng.standard_normal(dim)
                     rng.random()
-                rng.normal(0.0, 1.0, dim)
+                rng.standard_normal(dim)
                 size = max(size // 2, ANNEAL_BATCH_MIN)
                 break
         else:

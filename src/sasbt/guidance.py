@@ -294,8 +294,7 @@ def nsga2_dt(space: SearchSpace, evaluator: Evaluator,
     stages: list[StageRecord] = []
     iterations: list[dict] = []
 
-    for genome in lhs_sample(space, config.initial_lhs, rng):
-        archive.evaluate(genome, evaluator, run_id=0)
+    archive.evaluate(lhs_sample(space, config.initial_lhs, rng), evaluator, run_id=0)
     stages.append(StageRecord(kind="init", iteration=0, region_index=None,
                               checkpoints=[len(archive)]))
 

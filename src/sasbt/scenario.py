@@ -412,15 +412,18 @@ def search_space(cfg: SimConfig = SimConfig()) -> SearchSpace:
 
 
 def make_evaluator(cfg: SimConfig = SimConfig()):
-    """Evaluator for the search core: genome -> ((f1, -f2), critical).
+    """Evaluator for the search core: genome -> ((f1, -f2), critical), as
+    plain floats and a bool, which the archive writes as they are.
 
     f2 is negated because the search minimizes every objective while the
     scenario hunt wants minimum miss distance at maximum speed.
+    `evaluate_input` is looked up at call time, so a wrapper installed on
+    the module later still sees every simulation.
     """
 
-    def _evaluate(genome: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _evaluate(genome: np.ndarray) -> tuple[tuple[float, float], bool]:
         fv = evaluate_input(ScenarioInput.from_array(genome), cfg)
-        return np.array([fv.f1, -fv.f2]), fv.critical
+        return (fv.f1, -fv.f2), fv.critical
 
     return _evaluate
 

@@ -13,11 +13,14 @@ and the fronts are peeled with it.  `rank_and_crowding` computes the
 crowding of all fronts at once, through the routine that
 `crowding_distance` runs on one front.  The archive is the only record of
 an evaluation: a population is a list of archive row indices, and a genome
-or objective vector is read from the archive when it is needed.
+or objective vector is read from the archive when it is needed.  `evolve`
+breeds each generation in one pass on Python floats and records it as one
+archive block.
 
 All randomness flows through a single :class:`numpy.random.Generator` seeded
 from the config, so identical configs reproduce identical archives bit for
-bit.  Objectives are always minimized; callers that want to maximize a
+bit; `evolve` reads the generator's values from a replay of its words.
+Objectives are always minimized; callers that want to maximize a
 quantity negate it in their evaluator.
 """
 
@@ -30,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-Evaluator = Callable[[np.ndarray], tuple[np.ndarray, bool]]
+Evaluator = Callable[[np.ndarray], tuple[Sequence[float], bool]]
 """Maps a genome to (objective vector, criticality flag). Must be pure."""
 
 MAX_SAMPLES = 10 ** 7  # largest time grid a `SimConfig` or `SignalParam` may ask for
@@ -131,14 +134,16 @@ class EvaluationArchive:
     Rows are recorded in evaluation order; a row's number (`eval_index` in
     the CSV) is how populations refer to it and the determinism tie-break of
     selection.  The archive is the single source of truth for budget
-    accounting and for all post-hoc indicator computation.  A genome whose
-    bytes are already in the archive is not re-simulated by `evaluate`: its
-    row copies the first such row's result, and still counts as a row.
+    accounting and for all post-hoc indicator computation.  `evaluate` is
+    the only writer: it records a block of genomes, one row each.  A genome
+    whose bytes are already in the archive, or earlier in the block, is not
+    re-simulated: its row copies the first such row's result, and still
+    counts as a row.
 
     The rows live in four column arrays (genomes (N, n), objectives (N, m),
-    critical (N,), run_ids (N,)) whose capacity doubles when full; the
-    properties are read-only views of the filled rows.  A pickled archive
-    is those views alone.
+    critical (N,), run_ids (N,)) whose capacity at least doubles when a
+    block does not fit; the properties are read-only views of the filled
+    rows.  A pickled archive is those views alone.
     """
 
     def __init__(self) -> None:
@@ -168,33 +173,61 @@ class EvaluationArchive:
     def __len__(self) -> int:
         return self._n
 
-    def append(self, genome: np.ndarray, objectives: np.ndarray, critical: bool,
-               run_id: int) -> int:
-        row = self._n
-        if row == len(self._columns[3]):
-            size = 2 * row or 64
-            self._columns = [
-                np.concatenate([col[:row], np.empty((size - row, *np.shape(new)), col.dtype)])
-                if row else np.empty((size, *np.shape(new)), col.dtype)
-                for col, new in zip(self._columns, (genome, objectives, critical, run_id))]
-        genomes, objs, crit, run_ids = self._columns
-        genomes[row] = genome
-        objs[row] = objectives
-        crit[row] = critical
-        run_ids[row] = run_id
-        self.first_row.setdefault(genomes[row].tobytes(), row)
-        self._n = row + 1
-        return row
+    def evaluate(self, genomes: np.ndarray, evaluator: Evaluator, run_id: int) -> list[int]:
+        """Append one row per genome of a (k, n) block and return the rows.
 
-    def evaluate(self, genome: np.ndarray, evaluator: Evaluator, run_id: int) -> int:
-        """Append the evaluation of `genome` and return its row; a repeated
-        genome reuses its first row's result (evaluators are pure)."""
-        row = self.first_row.get(np.asarray(genome, dtype=float).tobytes())
-        if row is None:
-            objs, critical = evaluator(genome)
-        else:
-            objs, critical = self._columns[1][row], self._columns[2][row]
-        return self.append(genome, objs, critical, run_id)
+        A genome whose bytes are already in the archive, or earlier in the
+        block, reuses that first row's result (evaluators are pure), so the
+        evaluator runs once per new genome, in row order.  The objective
+        width comes from the first result.  Capacity grows, and the genome
+        and run-id blocks are written, once per call.
+        """
+        genomes = np.ascontiguousarray(genomes, dtype=float)
+        if genomes.ndim != 2:
+            raise ValueError("genomes must be a 2-D (k, n) array")
+        start, k = self._n, len(genomes)
+        if not k:
+            return []
+        end = start + k
+        blob, width = genomes.tobytes(), genomes.itemsize * genomes.shape[1]
+        first_row, fresh = self.first_row, {}
+        source, new = [], []  # each row's first row; block positions of new genomes
+        for i in range(k):
+            key = blob[i * width:(i + 1) * width]
+            row = first_row.get(key, fresh.get(key))
+            if row is None:
+                row = fresh[key] = start + i
+                new.append(i)
+            source.append(row)
+        results = [evaluator(genomes[i]) for i in new]
+        m = len(results[0][0]) if results else self._columns[1].shape[1]
+        self._reserve(end, genomes.shape[1], m)
+        genome_col, objs, crit, run_ids = self._columns
+        genome_col[start:end] = genomes
+        run_ids[start:end] = run_id
+        if results:
+            rows = np.add(new, start)
+            objs[rows] = [objectives for objectives, _ in results]
+            crit[rows] = [critical for _, critical in results]
+        objs[start:end] = objs[source]  # a repeat copies its first row, already written
+        crit[start:end] = crit[source]
+        first_row.update(fresh)
+        self._n = end
+        return list(range(start, end))
+
+    def _reserve(self, rows: int, n: int, m: int) -> None:
+        # capacity for `rows` rows of n genes and m objectives: at least
+        # double the old capacity, and 64 at first
+        size = len(self._columns[3])
+        if rows <= size:
+            return
+        size = max(2 * size, rows, 64)
+        grown = [np.empty((size, *shape), col.dtype)
+                 for col, shape in zip(self._columns, ((n,), (m,), (), ()))]
+        if self._n:
+            for new, old in zip(grown, self._columns):
+                new[:self._n] = old[:self._n]
+        self._columns = grown
 
     def to_csv(self, path) -> None:
         """Write rows as run_id,eval_index,g0..,o0..,critical."""
@@ -419,56 +452,112 @@ def environmental_selection(fronts: list[np.ndarray], crowding: np.ndarray,
 
 
 def _tournament(rng: np.random.Generator, rows: Sequence[int],
-                rank: np.ndarray, crowding: np.ndarray) -> int:
-    """Archive row of the winner of one binary tournament: lower rank, then
-    larger crowding, then lower archive row."""
-    i = int(rng.integers(len(rows)))
-    j = int(rng.integers(len(rows)))
+                rank: Sequence[int], crowding: Sequence[float]) -> int:
+    """Population position of the winner of one binary tournament: lower
+    rank, then larger crowding, then lower archive row."""
+    i = rng.integers(len(rows))
+    j = rng.integers(len(rows))
     if rank[i] != rank[j]:
         wins = rank[i] < rank[j]
     elif crowding[i] != crowding[j]:
         wins = crowding[i] > crowding[j]
     else:
         wins = rows[i] < rows[j]
-    return rows[i] if wins else rows[j]
+    return i if wins else j
+
+
+# ---------- the generator's stream ----------
+
+REPLAY_BLOCK = 256  # words fetched from the bit generator at a time
+
+
+class _StreamReplay:
+    """`random()` and `integers(n)` (1 <= n <= 2**32) of a PCG64
+    `numpy.random.Generator`, replayed bit for bit from its 64-bit words.
+
+    A double is a word's top 53 bits times 2**-53.  An integer below n is
+    numpy's Lemire draw (arXiv:1805.10941) on 32-bit halves: a word gives its
+    low half first and keeps the high half for the next 32-bit draw.
+    Doubles leave that half alone, and the generator's state (`has_uint32`,
+    `uinteger`) hands over one left by earlier draws, such as `permutation`'s.
+    Words are fetched a block at a time with `random_raw`, so the generator
+    ends up ahead of the draws replayed: replay only a generator that is not
+    drawn from directly again.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._raw = bit_generator.random_raw
+        self._words: list[int] = []  # the block's unread words, next one last
+
+    def _word(self) -> int:
+        if not self._words:
+            self._words = self._raw(REPLAY_BLOCK)[::-1].tolist()
+        return self._words.pop()
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            half, self._half = word & 0xFFFFFFFF, word >> 32
+        else:
+            self._half = None
+        return half
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0  # numpy draws nothing for a one-value range
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:  # only then can it fall below the threshold
+            threshold = 2 ** 32 % n  # rejecting below it leaves no bias
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
 
 
 # ---------- variation operators ----------
 
 
-def _sbx_pair(rng: np.random.Generator, p1: np.ndarray, p2: np.ndarray,
-              prob: float, index: float) -> tuple[np.ndarray, np.ndarray]:
+def _sbx_pair(rng: np.random.Generator, p1: list[float], p2: list[float],
+              prob: float, index: float) -> tuple[list[float], list[float]]:
     c1, c2 = p1.copy(), p2.copy()
     if rng.random() > prob:
         return c1, c2
-    for d in range(p1.size):
+    exponent = 1.0 / (index + 1.0)
+    for d, (x1, x2) in enumerate(zip(p1, p2)):
         if rng.random() > 0.5:
             continue
-        x1, x2 = p1[d], p2[d]
         if abs(x1 - x2) < 1e-14:
             continue
         u = rng.random()
         if u <= 0.5:
-            beta = (2.0 * u) ** (1.0 / (index + 1.0))
+            beta = (2.0 * u) ** exponent
         else:
-            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (index + 1.0))
+            beta = (1.0 / (2.0 * (1.0 - u))) ** exponent
         c1[d] = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)
         c2[d] = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)
     return c1, c2
 
 
-def _polynomial_mutation(rng: np.random.Generator, x: np.ndarray,
-                         space: SearchSpace, prob: float, index: float) -> np.ndarray:
+def _polynomial_mutation(rng: np.random.Generator, x: list[float], width: list[float],
+                         prob: float, index: float) -> list[float]:
+    # width: the box's upper - lower per dimension
     y = x.copy()
-    for d in range(x.size):
+    exponent = 1.0 / (index + 1.0)
+    for d, span in enumerate(width):
         if rng.random() > prob:
             continue
         u = rng.random()
         if u < 0.5:
-            delta = (2.0 * u) ** (1.0 / (index + 1.0)) - 1.0
+            delta = (2.0 * u) ** exponent - 1.0
         else:
-            delta = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (index + 1.0))
-        y[d] = x[d] + delta * (space.upper[d] - space.lower[d])
+            delta = 1.0 - (2.0 * (1.0 - u)) ** exponent
+        y[d] = x[d] + delta * span
     return y
 
 
@@ -487,6 +576,13 @@ def evolve(space: SearchSpace, config: SearchConfig, evaluator: Evaluator, *,
     samples.  Each generation appends exactly `population` offspring, so a
     run appends (population - len(seeds)) + population x generations archive
     rows; the evaluator runs only for genomes not yet in the archive.
+
+    A generation is one pass: tournaments, SBX and polynomial mutation
+    breed all offspring on Python floats, drawing from a replay of the
+    generator's words (`_StreamReplay`); the (population, dim) block is
+    clipped once and recorded with one `archive.evaluate`.  The draws, and
+    so the archive, are those of a loop that draws from the generator and
+    evaluates offspring one at a time.
 
     Args:
         space: decision-variable box; offspring are clamped into it.
@@ -512,21 +608,26 @@ def evolve(space: SearchSpace, config: SearchConfig, evaluator: Evaluator, *,
     population = [int(row) for row in seeds]
     n_new = config.population - len(population)
     if n_new > 0:
-        population += [archive.evaluate(genome, evaluator, run_id)
-                       for genome in lhs_sample(space, n_new, rng)]
+        population += archive.evaluate(lhs_sample(space, n_new, rng), evaluator, run_id)
     _, rank, crowding = rank_and_crowding(archive.objectives[population])
 
+    # every later draw comes from a replay of the generator's words, which
+    # reads ahead of them: harmless, as `rng` is private to this call and
+    # dropped when it returns
+    draws = _StreamReplay(rng)
+    width = (space.upper - space.lower).tolist()
     for _ in range(config.generations):
-        offspring: list[int] = []
-        while len(offspring) < config.population:
-            pa = _tournament(rng, population, rank, crowding)
-            pb = _tournament(rng, population, rank, crowding)
-            c1, c2 = _sbx_pair(rng, archive.genomes[pa], archive.genomes[pb],
-                               config.crossover_prob, config.crossover_index)
-            for child in (c1, c2):
-                mutated = _polynomial_mutation(rng, child, space, pm,
-                                               config.mutation_index)
-                offspring.append(archive.evaluate(space.clip(mutated), evaluator, run_id))
+        parents = archive.genomes[population].tolist()
+        ranks, crowds = rank.tolist(), crowding.tolist()
+        children: list[list[float]] = []
+        while len(children) < config.population:
+            a = _tournament(draws, population, ranks, crowds)
+            b = _tournament(draws, population, ranks, crowds)
+            for child in _sbx_pair(draws, parents[a], parents[b],
+                                   config.crossover_prob, config.crossover_index):
+                children.append(_polynomial_mutation(draws, child, width, pm,
+                                                     config.mutation_index))
+        offspring = archive.evaluate(space.clip(np.array(children)), evaluator, run_id)
         merged = population + offspring
         fronts, rank, crowding = rank_and_crowding(archive.objectives[merged])
         # survivors keep the rank and crowding they have in the merged population

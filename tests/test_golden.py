@@ -24,7 +24,14 @@ surrogate search called scipy's filter kernel directly and clipped with
 `falsify.arx_na = 0`, so every surrogate is a pure FIR filter; its digests
 were recorded while `arx.lfilter` still sent such filters through public
 `scipy.signal.lfilter`.  Its stats.csv equals `falsify_tank_long`'s, and its
-report.json differs from it only in `arx.na`.  `falsify_tank_long_linear`
+report.json differs from it only in `arx.na`.  It does not catch an FIR
+filter that keeps the convolution's tail (`[-n:]` for `[:n]`), which shifts
+the output len(taps) - 1 = 2 samples early and appends two tail samples:
+`always[0,50]` scores the maximum of the whole trace, no surrogate output
+peaks in its first two samples, and the tail exceeds the maximum for 1.6%
+of the proposals scored, none of which changes the best theta or value of
+any of the 36 annealing runs.  The unit test of the surrogate objective
+against the public layers catches that mutant.  `falsify_tank_long_linear`
 is the same run with `signal.interpolation = linear`, so every input signal
 interpolates between its control points; `falsify_tank_random` is
 `falsify_tank.cfg` with `falsify.method = random`, the pure-random

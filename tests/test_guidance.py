@@ -192,10 +192,14 @@ def test_seed_rows_match_row_by_row_reference():
     for trial in range(40):
         archive = EvaluationArchive()
         grid = np.linspace(0.0, 1.0, 5)  # genomes land exactly on box bounds
+        genomes, results = [], []
         for _ in range(int(rng.integers(1, 120))):
-            genome = rng.choice(grid, size=3) if rng.random() < 0.5 else rng.random(3)
+            genomes.append(rng.choice(grid, size=3) if rng.random() < 0.5 else rng.random(3))
             objectives = rng.integers(0, 4, size=2).astype(float)  # rank ties
-            archive.append(genome, objectives, bool(rng.random() < 0.3), 0)
+            results.append((objectives, bool(rng.random() < 0.3)))
+        # one block; a repeated genome keeps its first row's result
+        scripted = iter(results)
+        archive.evaluate(np.array(genomes), lambda _: next(scripted), 0)
         lo = rng.choice(grid[:3], size=3)
         region = SearchSpace(lower=lo, upper=lo + rng.choice(grid[1:3], size=3))
         limit = int(rng.integers(1, 15))

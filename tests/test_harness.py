@@ -626,8 +626,8 @@ def test_score_archive(compare_run: tuple[Path, dict], tmp_path: Path) -> None:
 def test_compare_outputs_plots_long_format() -> None:
     def archive() -> EvaluationArchive:
         a = EvaluationArchive()
-        a.append(np.zeros(3), np.array([0.0, 1.0]), True, 0)
-        a.append(np.ones(3), np.array([1.0, 0.0]), False, 0)
+        results = iter([([0.0, 1.0], True), ([1.0, 0.0], False)])
+        a.evaluate(np.array([np.zeros(3), np.ones(3)]), lambda _: next(results), 0)
         return a
 
     head = {"kind": "compare", "budget": 4, "repetitions": 1, "base_seed": 0,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sasbt.search import (EvaluationArchive, SearchConfig, SearchSpace,
-                          crowding_distance, dominates,
+                          crowding_distance, dominates, _StreamReplay,
                           _sbx_pair, _tournament, environmental_selection, evolve,
                           lhs_sample, non_dominated_sort, rank_and_crowding)
 
@@ -149,10 +149,12 @@ def test_sbx_skips_a_dimension_whose_parents_are_closer_than_1e_14():
         def random(self):
             return next(draws)
 
-    c1, c2 = _sbx_pair(Scripted(), np.array([0.0, 0.0]), np.array([1e-15, 1.0]), 1.0, 15.0)
+    p1, p2 = [0.0, 0.0], [1e-15, 1.0]  # as `evolve` passes parents: lists of floats
+    c1, c2 = _sbx_pair(Scripted(), p1, p2, 1.0, 15.0)
     assert next(draws, None) is None
     assert (c1[0], c2[0]) == (0.0, 1e-15)
     assert c1[1] != 0.0 and c2[1] != 1.0
+    assert (p1, p2) == ([0.0, 0.0], [1e-15, 1.0])  # the parents are not written
 
 
 def test_non_dominated_sort_translation_invariant():
@@ -251,12 +253,17 @@ class _ScriptedPicks:
 
 
 def test_tournament_prefers_rank_then_crowding_then_lower_row():
+    # as `evolve` calls it: rank and crowding as lists, the winner's
+    # population position returned
     rows = [40, 12, 30, 5]
-    rank = np.array([0, 1, 0, 0])
-    crowding = np.array([1.0, 9.0, 2.0, 2.0])
+    rank = [0, 1, 0, 0]
+    crowding = [1.0, 9.0, 2.0, 2.0]
 
     def winner(i, j):
-        return _tournament(_ScriptedPicks([i, j]), rows, rank, crowding)
+        picks = _ScriptedPicks([i, j])
+        position = _tournament(picks, rows, rank, crowding)
+        assert next(picks.picks, None) is None  # two picks, no more
+        return rows[position]
 
     assert winner(0, 1) == winner(1, 0) == 40  # lower rank beats more crowding
     assert winner(0, 2) == winner(2, 0) == 30  # larger crowding
@@ -264,12 +271,70 @@ def test_tournament_prefers_rank_then_crowding_then_lower_row():
     assert winner(1, 1) == 12
 
 
+def _record(archive: EvaluationArchive, genome, objectives, critical, run_id) -> int:
+    """A hand-made row, written by the archive's block writer: a genome
+    already in the archive keeps its first row's result."""
+    return archive.evaluate(np.array([genome], dtype=float),
+                            lambda _: (objectives, critical), run_id)[0]
+
+
+# None draws `random()`, n draws `integers(n)`; rejecting below 2**32 % n
+# discards a quarter of the draws for 3 * 2**30 and nearly half for 2**31 + 1
+REPLAY_BOUNDS = [None, 1, 2, 3, 40, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 9),
+       st.lists(st.tuples(st.sampled_from(REPLAY_BOUNDS), st.integers(1, 40)), max_size=40))
+def test_stream_replay_matches_the_generator(seed, k, script):
+    # the script runs `random()` (None) or `integers(n)` as often as its
+    # count says, up to 1600 draws, across several blocks of words; a
+    # `permutation(k)` first may leave a 32-bit half buffered, as
+    # `lhs_sample` does before `evolve` replays its generator
+    expect, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
+    expect.permutation(k)
+    replayed.permutation(k)
+    replay = _StreamReplay(replayed)
+    for n, count in script:
+        for _ in range(count):
+            if n is None:
+                assert replay.random().hex() == expect.random().hex()
+            else:
+                assert replay.integers(n) == expect.integers(n)
+
+
+def test_archive_block_evaluate_reuses_rows_in_row_order():
+    calls = []
+
+    def counting(genome):
+        calls.append(genome.tobytes())
+        return (float(len(calls)), -float(len(calls))), len(calls) % 2 == 0
+
+    archive = EvaluationArchive()
+    assert archive.evaluate(np.empty((0, 2)), counting, run_id=3) == [] and len(archive) == 0
+    with pytest.raises(ValueError, match="2-D"):
+        archive.evaluate(np.array([1.0, 2.0]), counting, run_id=3)
+    assert archive.evaluate(np.array([[1.0, 2.0], [0.0, 3.0]]), counting, run_id=4) == [0, 1]
+    block = np.array([[5.0, 6.0], [0.0, 3.0], [5.0, 6.0], [-0.0, 3.0], [7.0, 8.0], [-0.0, 3.0]])
+    assert archive.evaluate(block, counting, run_id=5) == [2, 3, 4, 5, 6, 7]
+    # one call per new genome, in row order: -0.0 is a new genome, a genome
+    # already in the archive (row 3) or earlier in the block (rows 4 and 7) is not
+    assert calls == [np.array(g).tobytes() for g in
+                     ([1.0, 2.0], [0.0, 3.0], [5.0, 6.0], [-0.0, 3.0], [7.0, 8.0])]
+    call = [1, 2, 3, 2, 3, 4, 5, 4]  # the call whose result each row holds
+    assert archive.objectives.tolist() == [[c, -c] for c in call]
+    assert archive.critical.tolist() == [c % 2 == 0 for c in call]
+    assert archive.genomes[2:].tobytes() == block.tobytes()
+    assert archive.run_ids.tolist() == [4, 4, 5, 5, 5, 5, 5, 5]
+    assert archive.first_row == {archive.genomes[row].tobytes(): row for row in (0, 1, 2, 5, 6)}
+
+
 def test_archive_roundtrip(tmp_path):
     archive = EvaluationArchive()
     rng = np.random.default_rng(2)
     for i in range(17):
-        archive.append(rng.normal(size=3), rng.normal(size=2),
-                       bool(rng.integers(2)), run_id=i % 3)
+        _record(archive, rng.normal(size=3), rng.normal(size=2),
+                bool(rng.integers(2)), run_id=i % 3)
     path = tmp_path / "arch.csv"
     archive.to_csv(path)
     back = EvaluationArchive.from_csv(path)
@@ -376,8 +441,8 @@ def test_archive_reuses_only_byte_identical_genomes(tmp_path):
         return np.array([float(genome[0]), 1.0 / (1.0 + float(genome[1]))]), False
 
     archive = EvaluationArchive()
-    rows = [archive.evaluate(np.array(g), counting, run_id=0)
-            for g in ([0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0 + 2 ** -52])]
+    rows = archive.evaluate(np.array([[0.0, 1.0], [0.0, 1.0], [-0.0, 1.0],
+                                      [0.0, 1.0 + 2 ** -52]]), counting, run_id=0)
     assert rows == [0, 1, 2, 3]
     assert len(calls) == 3  # -0.0 and the next float up are distinct genomes
     assert archive.first_row == {archive.genomes[0].tobytes(): 0,
@@ -387,7 +452,7 @@ def test_archive_reuses_only_byte_identical_genomes(tmp_path):
     archive.to_csv(tmp_path / "a.csv")
     back = EvaluationArchive.from_csv(tmp_path / "a.csv")
     assert back.first_row == archive.first_row
-    assert back.evaluate(np.array([-0.0, 1.0]), counting, run_id=1) == 4
+    assert back.evaluate(np.array([[-0.0, 1.0]]), counting, run_id=1) == [4]
     assert len(calls) == 3 and back.objectives[4].tobytes() == back.objectives[2].tobytes()
 
 
@@ -402,7 +467,7 @@ def _special_archive(rows: int) -> EvaluationArchive:
     archive = EvaluationArchive()
     for i in range(rows):
         genome = rng.choice(SPECIAL, size=3) if i % 4 else np.array([0.1, -0.0, 2.0])
-        archive.append(genome, rng.choice(SPECIAL, size=2), bool(rng.integers(2)), i % 5)
+        _record(archive, genome, rng.choice(SPECIAL, size=2), bool(rng.integers(2)), i % 5)
     return archive
 
 
@@ -443,8 +508,8 @@ def test_archive_pickle_ships_trimmed_columns(rows):
         calls.append(genome)
         return np.array([1.0, 2.0]), True
 
-    assert back.evaluate(np.array([0.1, -0.0, 2.0]), counting, run_id=7) == rows
-    assert back.evaluate(np.array([0.1, 0.0, 2.0]), counting, run_id=7) == rows + 1
+    assert back.evaluate(np.array([[0.1, -0.0, 2.0], [0.1, 0.0, 2.0]]), counting,
+                         run_id=7) == [rows, rows + 1]
     assert len(calls) == (2 if rows == 0 else 1)
     assert back.objectives[rows].tobytes() == (
         archive.objectives[0].tobytes() if rows else np.array([1.0, 2.0]).tobytes())
@@ -460,7 +525,7 @@ def test_archive_views_are_read_only_snapshots():
         assert not view.flags.writeable
         with pytest.raises(ValueError):
             view[0] = view[1]
-    archive.append(np.ones(3), np.ones(2), True, 9)
+    _record(archive, np.ones(3), np.ones(2), True, 9)
     assert len(archive.genomes) == 65 and len(views[0]) == 64
     for view, old in zip(views, before):
         assert view.tobytes() == old.tobytes()
@@ -485,7 +550,7 @@ def test_archive_csv_matches_row_by_row_writer(tmp_path, rows):
 def test_archive_csv_round_trips_any_float(tmp_path_factory, rows):
     archive = EvaluationArchive()
     for genome, objectives, critical, run_id in rows:
-        archive.append(np.array(genome), np.array(objectives), critical, run_id)
+        _record(archive, genome, objectives, critical, run_id)
     path = tmp_path_factory.mktemp("csv") / "a.csv"
     archive.to_csv(path)
     assert path.read_text(encoding="utf-8") == reference_csv(archive)

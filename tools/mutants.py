@@ -77,7 +77,7 @@ MUTANTS = [
            "test_guidance.py::test_nsga2_dt_focuses_on_critical_box"),
     Mutant("tournament ties by higher row", "src/sasbt/search.py",
            "wins = rows[i] < rows[j]", "wins = rows[i] > rows[j]",
-           "test_guidance.py::test_nsga2_dt_focuses_on_critical_box"),
+           "test_search.py::test_tournament_prefers_rank_then_crowding_then_lower_row"),
     Mutant("thresholded distinctness > -> >=", "src/sasbt/indicators.py",
            "far = np.abs(row - g[:i][new[:i]]) > policy.epsilon",
            "far = np.abs(row - g[:i][new[:i]]) >= policy.epsilon",
@@ -131,12 +131,17 @@ MUTANTS = [
            "for _ in range(i):", "for _ in range(i - 1):",
            "test_falsify.py::test_optimizers_spend_exactly_the_budget_and_stay_in_bounds"),
     Mutant("annealer rewind skips the better step's normal", "src/sasbt/falsify.py",
-           "rng.normal(0.0, 1.0, dim)\n                size = max(",
+           "rng.standard_normal(dim)\n                size = max(",
            "size = max(",
            "test_falsify.py::test_optimizers_spend_exactly_the_budget_and_stay_in_bounds"),
     Mutant("annealer batch halves -> thirds", "src/sasbt/falsify.py",
            "size = max(size // 2, ANNEAL_BATCH_MIN)", "size = max(size // 3, ANNEAL_BATCH_MIN)",
            EQUIVALENT + "the walk and the generator's state do not depend on the batch size"),
+    # the golden FIR run (falsify_tank_long_fir) survives it: its surrogate
+    # peaks after the first len(taps) - 1 samples, so under always[0,50] the
+    # shift keeps the maximum; only the two tail samples can raise it, for
+    # 1.6% of the proposals scored, and none of the 36 annealing runs ends
+    # with another best theta or value
     Mutant("FIR lfilter keeps the convolution's tail", "src/sasbt/arx.py",
            "np.convolve(taps, row)[:n]", "np.convolve(taps, row)[-n:]",
            "test_falsify.py::test_surrogate_objective_matches_the_public_layers_bit_for_bit"),
@@ -145,8 +150,18 @@ MUTANTS = [
            "dominated = (pts[:-1] <= block).all(axis=2) & (pts[:-1] < block).any(axis=2)",
            "test_search.py::test_non_dominated_sort_matches_brute_force"),
     Mutant("archive reuse off", "src/sasbt/search.py",
-           "row = self.first_row.get(np.asarray(genome, dtype=float).tobytes())", "row = None",
-           "test_search.py::test_evolve_evaluates_only_fresh_genomes_and_returns_archive_rows"),
+           "row = first_row.get(key, fresh.get(key))", "row = None",
+           "test_search.py::test_archive_block_evaluate_reuses_rows_in_row_order"),
+    Mutant("replayed double takes 52 bits", "src/sasbt/search.py",
+           "return (self._word() >> 11) * 2.0 ** -53", "return (self._word() >> 12) * 2.0 ** -53",
+           "test_search.py::test_stream_replay_matches_the_generator"),
+    Mutant("replayed word gives its high half first", "src/sasbt/search.py",
+           "half, self._half = word & 0xFFFFFFFF, word >> 32",
+           "half, self._half = word >> 32, word & 0xFFFFFFFF",
+           "test_search.py::test_stream_replay_matches_the_generator"),
+    Mutant("replayed Lemire draw never rejects", "src/sasbt/search.py",
+           "while m & 0xFFFFFFFF < threshold:", "while False:",
+           "test_search.py::test_stream_replay_matches_the_generator"),
 ]
 
 
